@@ -12,13 +12,9 @@
 // I/O latency; loss trajectories must be bit-identical across all
 // variants — scheduling and coalescing change how bytes travel, never
 // which bytes.
-//
-// ZI_BENCH_JSON=<path> writes machine-readable results (BENCH_overlap.json
-// in CI) including the per-route DataMover counters.
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -104,56 +100,6 @@ Outcome run(bool overlap, bool coalesce,
   return out;
 }
 
-void write_bench_json(const char* path, const Outcome& on,
-                      const Outcome& off, const Outcome& nc) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::cerr << "[zi] ZI_BENCH_JSON: cannot open " << path << "\n";
-    return;
-  }
-  auto emit = [&](const char* name, const Outcome& o, bool overlap,
-                  bool coalesce) {
-    out << "{\"name\":\"" << name << "\""
-        << ",\"overlap_transfers\":" << (overlap ? "true" : "false")
-        << ",\"coalesce\":" << (coalesce ? "true" : "false")
-        << ",\"ms_per_step\":" << o.ms_per_step
-        << ",\"first_loss\":" << o.first_loss
-        << ",\"last_loss\":" << o.last_loss
-        << ",\"prefetch_hits\":" << o.prefetch_hits
-        << ",\"move_transfers\":" << o.move_transfers
-        << ",\"move_wait_seconds\":" << o.move_wait_seconds
-        << ",\"staged_pinned\":" << o.staged_pinned
-        << ",\"staged_heap\":" << o.staged_heap
-        << ",\"sched_backend_ops\":" << o.sched_backend_ops
-        << ",\"coalesced_transfers\":" << o.coalesced_transfers;
-    for (int r = 0; r < kNumRoutes; ++r) {
-      out << ",\"bytes_" << route_name(static_cast<Route>(r)) << "\":"
-          << o.route_bytes[r];
-    }
-    out << "}";
-  };
-  out << "{\"bench\":\"e2e_overlap\",\"runs\":[";
-  emit("overlap_on", on, true, true);
-  out << ",";
-  emit("overlap_on_no_coalesce", nc, true, false);
-  out << ",";
-  emit("overlap_off", off, false, true);
-  out << "],\"speedup\":"
-      << (on.ms_per_step > 0 ? off.ms_per_step / on.ms_per_step : 0.0)
-      << ",\"coalesce_request_ratio\":"
-      << (on.sched_backend_ops > 0
-              ? static_cast<double>(nc.sched_backend_ops) /
-                    static_cast<double>(on.sched_backend_ops)
-              : 0.0)
-      << ",\"bit_identical\":"
-      << (on.first_loss == off.first_loss && on.last_loss == off.last_loss &&
-                  on.first_loss == nc.first_loss &&
-                  on.last_loss == nc.last_loss
-              ? "true"
-              : "false")
-      << "}\n";
-}
-
 }  // namespace
 
 int main() {
@@ -185,10 +131,6 @@ int main() {
   row("overlap on, no coalesce", nc);
   row("overlap off", off);
   t.print(std::cout);
-
-  if (const char* json_path = std::getenv("ZI_BENCH_JSON")) {
-    if (json_path[0] != '\0') write_bench_json(json_path, on, off, nc);
-  }
 
   const bool bit_identical =
       on.first_loss == off.first_loss && on.last_loss == off.last_loss &&

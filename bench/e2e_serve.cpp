@@ -8,13 +8,9 @@
 // benches assert loss trajectories: every variant at every arrival rate
 // must produce byte-identical token streams — placement and load change
 // when tokens arrive, never which tokens.
-//
-// ZI_BENCH_JSON=<path> writes machine-readable results (BENCH_serve.json
-// in CI).
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -118,35 +114,6 @@ struct Run {
   Outcome o;
 };
 
-void write_bench_json(const char* path, const std::vector<Run>& runs,
-                      bool bit_identical) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::cerr << "[zi] ZI_BENCH_JSON: cannot open " << path << "\n";
-    return;
-  }
-  out << "{\"bench\":\"e2e_serve\",\"world\":" << kWorld
-      << ",\"requests\":" << kRequests << ",\"max_batch\":" << kMaxBatch
-      << ",\"runs\":[";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const Run& r = runs[i];
-    if (i > 0) out << ",";
-    out << "{\"name\":\"" << r.name << "\""
-        << ",\"arrival_rate\":" << r.rate
-        << ",\"requests\":" << r.o.report.requests
-        << ",\"tokens_out\":" << r.o.report.tokens_out
-        << ",\"p50_latency_seconds\":" << r.o.report.p50_latency_seconds
-        << ",\"p99_latency_seconds\":" << r.o.report.p99_latency_seconds
-        << ",\"tokens_per_second\":" << r.o.report.tokens_per_second
-        << ",\"elapsed_seconds\":" << r.o.report.elapsed_seconds
-        << ",\"bytes_kv_fetch\":" << r.o.kv_fetch_bytes
-        << ",\"bytes_kv_spill\":" << r.o.kv_spill_bytes
-        << ",\"bytes_param_fetch\":" << r.o.param_fetch_bytes << "}";
-  }
-  out << "],\"bit_identical\":" << (bit_identical ? "true" : "false")
-      << "}\n";
-}
-
 }  // namespace
 
 int main() {
@@ -191,10 +158,6 @@ int main() {
                format_bytes(r.o.kv_spill_bytes)});
   }
   t.print(std::cout);
-
-  if (const char* json_path = std::getenv("ZI_BENCH_JSON")) {
-    if (json_path[0] != '\0') write_bench_json(json_path, runs, bit_identical);
-  }
 
   std::cout << "\nToken streams " << (bit_identical ? "ARE" : "ARE NOT")
             << " bit-identical across placements and arrival rates.\n";

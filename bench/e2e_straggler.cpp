@@ -12,13 +12,9 @@
 // measurement pass: the trainer's straggler detector is armed with an
 // unreachable conviction factor, so it times every step (busy = wall −
 // sync-wait delta) without ever winding the run down.
-//
-// ZI_BENCH_JSON=<path> writes machine-readable results
-// (BENCH_straggler.json in CI).
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -147,43 +143,6 @@ RankWeights weights_from_ewma(const std::vector<double>& ewma) {
   return w;
 }
 
-void write_bench_json(const char* path, const Outcome& uniform,
-                      const Outcome& weighted, const RankWeights& weights) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::cerr << "[zi] ZI_BENCH_JSON: cannot open " << path << "\n";
-    return;
-  }
-  auto emit = [&](const char* name, const Outcome& o) {
-    out << "{\"name\":\"" << name << "\""
-        << ",\"ms_per_step\":" << o.ms_per_step
-        << ",\"first_loss\":" << o.first_loss
-        << ",\"last_loss\":" << o.last_loss << ",\"rank_batches\":[";
-    for (std::size_t r = 0; r < o.rank_batches.size(); ++r) {
-      out << (r ? "," : "") << o.rank_batches[r];
-    }
-    out << "],\"step_ewma_s\":[";
-    for (std::size_t r = 0; r < o.step_ewma.size(); ++r) {
-      out << (r ? "," : "") << o.step_ewma[r];
-    }
-    out << "]}";
-  };
-  out << "{\"bench\":\"e2e_straggler\",\"slow_rank\":" << kSlowRank
-      << ",\"per_token_us\":" << kPerTokenUs << ",\"runs\":[";
-  emit("uniform", uniform);
-  out << ",";
-  emit("weighted", weighted);
-  out << "],\"rank_weights\":[";
-  for (std::size_t r = 0; r < weights.size(); ++r) {
-    out << (r ? "," : "") << weights[r];
-  }
-  out << "],\"speedup\":"
-      << (weighted.ms_per_step > 0
-              ? uniform.ms_per_step / weighted.ms_per_step
-              : 0.0)
-      << "}\n";
-}
-
 }  // namespace
 
 int main() {
@@ -252,10 +211,6 @@ int main() {
                     : 0.0)
             << "x).\n";
 
-  if (const char* json_path = std::getenv("ZI_BENCH_JSON")) {
-    if (json_path[0] != '\0') write_bench_json(json_path, uniform, weighted,
-                                               weights);
-  }
   std::filesystem::remove_all(dir);
 
   // Timing is machine-dependent; what must hold structurally is that the

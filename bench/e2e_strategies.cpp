@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <utility>
 #include <vector>
@@ -84,32 +83,6 @@ Outcome run(EngineConfig cfg, const std::filesystem::path& dir) {
   return out;
 }
 
-/// ZI_BENCH_JSON=<path>: machine-readable results for CI bench tracking —
-/// one object per strategy with the same numbers the table prints.
-void write_bench_json(
-    const char* path,
-    const std::vector<std::pair<std::string, Outcome>>& results) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::cerr << "[zi] ZI_BENCH_JSON: cannot open " << path << "\n";
-    return;
-  }
-  out << "{\"bench\":\"e2e_strategies\",\"strategies\":[";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& [name, o] = results[i];
-    if (i > 0) out << ",";
-    out << "{\"name\":\"" << name << "\""
-        << ",\"ms_per_step\":" << o.ms_per_step
-        << ",\"first_loss\":" << o.first_loss
-        << ",\"last_loss\":" << o.last_loss
-        << ",\"gpu_peak_bytes\":" << o.gpu_peak
-        << ",\"cpu_peak_bytes\":" << o.cpu_peak
-        << ",\"nvme_peak_bytes\":" << o.nvme_peak
-        << ",\"prefetch_hits\":" << o.prefetch_hits << "}";
-  }
-  out << "]}\n";
-}
-
 }  // namespace
 
 int main() {
@@ -130,7 +103,6 @@ int main() {
       {"ZeRO-Inf-NVMe", preset_zero_infinity_nvme()},
   };
 
-  std::vector<std::pair<std::string, Outcome>> results;
   Table t({"strategy", "loss step1", "loss step8", "ms/step", "GPU peak",
            "CPU peak", "NVMe peak", "prefetch hits"});
   for (const auto& [name, cfg] : configs) {
@@ -139,7 +111,6 @@ int main() {
                Table::num(o.ms_per_step, 1), format_bytes(o.gpu_peak),
                format_bytes(o.cpu_peak), format_bytes(o.nvme_peak),
                std::to_string(o.prefetch_hits)});
-    results.emplace_back(name, o);
   }
   // The 3D-parallelism baseline (tensor-parallel x data-parallel, no
   // ZeRO): a DIFFERENT model implementation (TpGpt) on a 2x2 grid, so its
@@ -187,12 +158,8 @@ int main() {
     t.add_row({"3D par. (tp=2, rewritten model)", Table::num(o.first_loss, 6),
                Table::num(o.last_loss, 6), Table::num(o.ms_per_step, 1),
                format_bytes(o.gpu_peak), "0 B", "0 B", "-"});
-    results.emplace_back("3D parallel (tp=2)", o);
   }
   t.print(std::cout);
-  if (const char* json_path = std::getenv("ZI_BENCH_JSON")) {
-    if (json_path[0] != '\0') write_bench_json(json_path, results);
-  }
   std::cout << "\nAll ZeRO strategies report IDENTICAL loss columns "
                "(exactness of the ZeRO transformations); the placement "
                "columns shift bytes down the GPU -> CPU -> NVMe hierarchy "

@@ -22,7 +22,7 @@ inline CommClock::duration comm_ms_to_duration(double ms) {
       std::chrono::duration<double, std::milli>(ms));
 }
 
-// Wait-slice for ticked (deadline-aware) waits: short enough that heartbeats
+// Wait-slice of every comm wait: short enough that heartbeats
 // stay fresh relative to any sane stall threshold, long enough to be cheap.
 inline constexpr std::chrono::milliseconds kWaitSlice{50};
 

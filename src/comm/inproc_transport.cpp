@@ -18,7 +18,7 @@ AbortableBarrier::AbortableBarrier(int num_ranks, WorldHealth* health,
       arrived_round_(static_cast<std::size_t>(num_ranks), 0) {}
 
 WaitOutcome AbortableBarrier::arrive_and_wait(int member, int global_rank,
-                                              double timeout_ms, bool ticked,
+                                              double timeout_ms,
                                               int* suspect_global,
                                               std::uint64_t* epoch_out) {
   UniqueLock lock(mutex_);
@@ -37,19 +37,14 @@ WaitOutcome AbortableBarrier::arrive_and_wait(int member, int global_rank,
     return WaitOutcome::kOk;
   }
   const CommClock::time_point deadline =
-      timeout_ms > 0.0 ? CommClock::now() + comm_ms_to_duration(timeout_ms)
-                       : CommClock::time_point::max();
+      CommClock::now() + comm_ms_to_duration(timeout_ms);
   while (epoch_ == round && !poisoned_) {
-    if (!ticked) {
-      cv_.wait(lock);
-      continue;
-    }
     if (health_ != nullptr) health_->beat(global_rank);
     const CommClock::time_point now = CommClock::now();
     if (now >= deadline) {
       // Blame a rank that has not arrived this round — the one whose
       // heartbeat is oldest (a crashed/stalled rank stopped beating; a rank
-      // merely blocked elsewhere keeps beating via its own ticked wait).
+      // merely blocked elsewhere keeps beating via its own wait slices).
       int suspect = -1;
       double oldest = -1.0;
       for (int m = 0; m < num_ranks_; ++m) {
@@ -161,8 +156,7 @@ WaitOutcome InprocTransport::sync(int* suspect_global,
                                   std::uint64_t* epoch_out) {
   return shared_->sync.arrive_and_wait(member_, global_,
                                        shared_->options.timeout_ms,
-                                       shared_->ticked_waits(), suspect_global,
-                                       epoch_out);
+                                       suspect_global, epoch_out);
 }
 
 WaitOutcome InprocTransport::p2p_send(int to_member, P2pMessage msg) {
@@ -174,9 +168,7 @@ WaitOutcome InprocTransport::p2p_send(int to_member, P2pMessage msg) {
   {
     UniqueLock lock(ch.mutex);
     const CommClock::time_point deadline =
-        s.options.timeout_ms > 0.0
-            ? CommClock::now() + comm_ms_to_duration(s.options.timeout_ms)
-            : CommClock::time_point::max();
+        CommClock::now() + comm_ms_to_duration(s.options.timeout_ms);
     bool counted_block = false;
     // A single message larger than the byte cap is still deliverable: the
     // cap gates on the queue being non-empty, so the queue never wedges.
@@ -187,10 +179,6 @@ WaitOutcome InprocTransport::p2p_send(int to_member, P2pMessage msg) {
       if (!counted_block) {
         counted_block = true;
         s.traffic.p2p_send_blocks.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (!s.ticked_waits()) {
-        ch.cv.wait(lock);
-        continue;
       }
       s.health->beat(global_);
       const CommClock::time_point now = CommClock::now();
@@ -215,15 +203,9 @@ WaitOutcome InprocTransport::p2p_recv(int from_member, P2pMessage* out) {
   {
     UniqueLock lock(ch.mutex);
     const CommClock::time_point deadline =
-        s.options.timeout_ms > 0.0
-            ? CommClock::now() + comm_ms_to_duration(s.options.timeout_ms)
-            : CommClock::time_point::max();
+        CommClock::now() + comm_ms_to_duration(s.options.timeout_ms);
     while (ch.queue.empty()) {
       if (s.health->poisoned()) return WaitOutcome::kPoisoned;
-      if (!s.ticked_waits()) {
-        ch.cv.wait(lock);
-        continue;
-      }
       s.health->beat(global_);
       const CommClock::time_point now = CommClock::now();
       if (now >= deadline) {

@@ -28,18 +28,17 @@ struct P2pChannel {
 };
 
 /// Reusable epoch-counting barrier that can be poisoned: every current and
-/// future waiter returns kPoisoned instead of blocking forever. With a
-/// timeout, a waiter that exceeds it returns kTimeout and names the suspect
-/// (the non-arrived member with the oldest heartbeat). Ticked waits wake
-/// every kWaitSlice to refresh the waiter's own heartbeat.
+/// future waiter returns kPoisoned instead of blocking forever. A waiter
+/// that exceeds the timeout returns kTimeout and names the suspect (the
+/// non-arrived member with the oldest heartbeat). Waits wake every
+/// kWaitSlice to refresh the waiter's own heartbeat.
 class AbortableBarrier {
  public:
   AbortableBarrier(int num_ranks, WorldHealth* health,
                    const std::vector<int>* global_ranks);
 
   WaitOutcome arrive_and_wait(int member, int global_rank, double timeout_ms,
-                              bool ticked, int* suspect_global,
-                              std::uint64_t* epoch_out);
+                              int* suspect_global, std::uint64_t* epoch_out);
   void poison();
   std::uint64_t epoch() const;
 
@@ -97,9 +96,6 @@ struct WorldShared {
                         static_cast<std::size_t>(num_ranks) +
                     static_cast<std::size_t>(to)];
   }
-
-  /// Timed (deadline-aware) waits are active whenever any detection is on.
-  bool ticked_waits() const noexcept { return options.deadlines_enabled(); }
 
   void set_result(int global_rank, std::string payload);
   std::vector<std::string> take_results();

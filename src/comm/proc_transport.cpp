@@ -609,11 +609,9 @@ void hub_poison(Hub& hub, int culprit, WorldFailKind kind,
     hub.poisoned = true;
     hub.shm.ctl->poisoned.store(1, std::memory_order_release);
     hub_unpark_poisoned(hub);
-    if (hub.options.deadlines_enabled()) {
-      hub.grace_deadline =
-          CommClock::now() +
-          comm_ms_to_duration(std::max(0.0, hub.options.join_grace_ms));
-    }
+    hub.grace_deadline =
+        CommClock::now() +
+        comm_ms_to_duration(std::max(0.0, hub.options.join_grace_ms));
   }
 }
 
@@ -649,9 +647,7 @@ void hub_handle_frame(Hub& hub, int global, const Frame& f,
                       std::vector<std::byte> payload) {
   HubChild& kid = hub.kids[static_cast<std::size_t>(global)];
   const CommClock::time_point deadline =
-      hub.options.timeout_ms > 0.0
-          ? CommClock::now() + comm_ms_to_duration(hub.options.timeout_ms)
-          : CommClock::time_point::max();
+      CommClock::now() + comm_ms_to_duration(hub.options.timeout_ms);
   switch (f.type) {
     case kArrive: {
       HubGroup& g = hub.groups[static_cast<std::size_t>(f.group)];
@@ -885,7 +881,7 @@ void hub_handle_eof(Hub& hub, int global) {
   hub_poison(hub, global, WorldFailKind::kException, kid.death_what);
 }
 
-/// Expire parked waits (hub enforces what ticked waits enforce inproc) and
+/// Expire parked waits (hub enforces what the wait slices enforce inproc) and
 /// run the stall watchdog off the shared heartbeats.
 void hub_sweep_deadlines(Hub& hub) {
   const CommClock::time_point now = CommClock::now();
@@ -912,7 +908,7 @@ void hub_sweep_deadlines(Hub& hub) {
       return;
     }
   }
-  if (hub.options.timeout_ms <= 0.0 || hub.poisoned) return;
+  if (hub.poisoned) return;
   for (int r = 0; r < hub.n; ++r) {
     HubChild& kid = hub.kids[static_cast<std::size_t>(r)];
     if (!kid.alive || kid.park == HubChild::Park::kNone ||
@@ -1060,7 +1056,7 @@ WorldReport run_world_proc(int num_ranks, const WorldOptions& options,
     // Poll timeout: the nearest of parked-wait deadlines, the watchdog
     // cadence, the post-poison join grace — capped at one wait slice.
     CommClock::time_point next = CommClock::now() + kWaitSlice;
-    if (hub.options.timeout_ms > 0.0 && !hub.poisoned) {
+    if (!hub.poisoned) {
       for (const HubChild& kid : hub.kids) {
         if (kid.alive && kid.park != HubChild::Park::kNone) {
           next = std::min(next, kid.park_deadline);

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <thread>
@@ -51,6 +52,16 @@ bool is_comm_error(const std::exception_ptr& e) {
   }
 }
 
+/// Every comm wait has a deadline, so the timeout must be a finite positive
+/// number of milliseconds.
+void check_timeout(const char* source, double timeout_ms) {
+  if (timeout_ms > 0.0 && std::isfinite(timeout_ms)) return;
+  std::ostringstream os;
+  os << source << "=" << timeout_ms
+     << " is not a valid comm timeout (expected a finite number of ms > 0)";
+  throw Error(os.str());
+}
+
 }  // namespace
 
 const char* world_fail_kind_name(WorldFailKind kind) noexcept {
@@ -76,6 +87,7 @@ std::uint64_t comm_abort_count() noexcept {
 WorldOptions WorldOptions::from_env() {
   WorldOptions o;
   o.timeout_ms = getenv_f64("ZI_COMM_TIMEOUT_MS", o.timeout_ms);
+  check_timeout("ZI_COMM_TIMEOUT_MS", o.timeout_ms);
   o.p2p_capacity_bytes =
       static_cast<std::size_t>(getenv_u64("ZI_P2P_CAP_BYTES", o.p2p_capacity_bytes));
   o.p2p_capacity_messages =
@@ -83,9 +95,7 @@ WorldOptions WorldOptions::from_env() {
   o.proc_shm_mb =
       static_cast<std::size_t>(getenv_u64("ZI_PROC_SHM_MB", o.proc_shm_mb));
   o.straggler_factor = getenv_f64("ZI_STRAGGLER_FACTOR", o.straggler_factor);
-  o.straggler_steps = static_cast<int>(
-      getenv_u64("ZI_STRAGGLER_STEPS",
-                 static_cast<std::uint64_t>(o.straggler_steps)));
+  o.straggler_steps = getenv_int("ZI_STRAGGLER_STEPS", o.straggler_steps);
   if (const char* e = std::getenv("ZI_TRANSPORT"); e != nullptr && *e) {
     const std::string v(e);
     if (v == "inproc") {
@@ -640,40 +650,34 @@ WorldReport run_world_inproc(int num_ranks, const WorldOptions& options,
     });
   }
 
+  // Wait for completion; after a poison, give unblocked ranks join_grace_ms
+  // to unwind, then detach the genuinely wedged ones (threads cannot be
+  // cancelled).
   std::vector<int> zombie_ranks;
-  if (!options.deadlines_enabled()) {
-    // Legacy semantics: plain join. Without deadlines no rank can time out,
-    // so nothing here changes behavior for existing callers.
-    for (std::thread& t : threads) t.join();
-  } else {
-    // Wait for completion; after a poison, give unblocked ranks
-    // join_grace_ms to unwind, then detach the genuinely wedged ones
-    // (threads cannot be cancelled).
-    std::vector<bool> done_snapshot;
-    {
-      UniqueLock lock(latch->mutex);
-      CommClock::time_point poison_deadline = CommClock::time_point::max();
-      while (latch->remaining > 0) {
-        if (shared->health->poisoned() &&
-            poison_deadline == CommClock::time_point::max()) {
-          poison_deadline =
-              CommClock::now() +
-              detail::comm_ms_to_duration(std::max(0.0, options.join_grace_ms));
-        }
-        if (CommClock::now() >= poison_deadline) break;
-        latch->cv.wait_for(lock, detail::kWaitSlice);
+  std::vector<bool> done_snapshot;
+  {
+    UniqueLock lock(latch->mutex);
+    CommClock::time_point poison_deadline = CommClock::time_point::max();
+    while (latch->remaining > 0) {
+      if (shared->health->poisoned() &&
+          poison_deadline == CommClock::time_point::max()) {
+        poison_deadline =
+            CommClock::now() +
+            detail::comm_ms_to_duration(std::max(0.0, options.join_grace_ms));
       }
-      done_snapshot = latch->done;
+      if (CommClock::now() >= poison_deadline) break;
+      latch->cv.wait_for(lock, detail::kWaitSlice);
     }
-    for (int r = 0; r < num_ranks; ++r) {
-      if (done_snapshot[static_cast<std::size_t>(r)]) {
-        threads[static_cast<std::size_t>(r)].join();
-      } else {
-        threads[static_cast<std::size_t>(r)].detach();
-        zombie_ranks.push_back(r);
-        ZI_LOG_WARN << "run_world: rank " << r
-                    << " still blocked past join grace; detached";
-      }
+    done_snapshot = latch->done;
+  }
+  for (int r = 0; r < num_ranks; ++r) {
+    if (done_snapshot[static_cast<std::size_t>(r)]) {
+      threads[static_cast<std::size_t>(r)].join();
+    } else {
+      threads[static_cast<std::size_t>(r)].detach();
+      zombie_ranks.push_back(r);
+      ZI_LOG_WARN << "run_world: rank " << r
+                  << " still blocked past join grace; detached";
     }
   }
   stop_watchdog.store(true, std::memory_order_release);
@@ -717,6 +721,7 @@ WorldReport run_world_inproc(int num_ranks, const WorldOptions& options,
 WorldReport run_world(int num_ranks, const WorldOptions& options,
                       const std::function<void(Communicator&)>& fn) {
   ZI_CHECK(num_ranks > 0);
+  check_timeout("WorldOptions::timeout_ms", options.timeout_ms);
   if (options.transport == TransportKind::kProc) {
     return detail::run_world_proc(num_ranks, options, fn);
   }

@@ -30,12 +30,12 @@
 // *abortable* barrier. A rank that exits via exception records itself in the
 // shared WorldHealth registry and poisons the world; every blocked peer —
 // barrier waiter, recv(), capped send() — wakes and throws CommAbortedError
-// within one wait slice instead of hanging forever. With ZI_COMM_TIMEOUT_MS
-// set (or WorldOptions::timeout_ms), a rank that waits longer than the
-// timeout blames the slowest missing peer, poisons the world itself, and
-// throws CommTimeoutError. All timeouts/watchdogs default OFF so unit tests
-// keep exact legacy behavior; the elastic supervisor turns them on. Both
-// transports implement these semantics byte-for-byte.
+// within one wait slice instead of hanging forever. Every comm wait has a
+// deadline (WorldOptions::timeout_ms, finite by default, ZI_COMM_TIMEOUT_MS
+// overrides it): a rank that waits longer blames the slowest missing peer,
+// poisons the world itself, and throws CommTimeoutError. The stall
+// watchdog and straggler detection default off. Both transports implement
+// these semantics byte-for-byte.
 #pragma once
 
 #include <atomic>
@@ -92,14 +92,13 @@ enum class TransportKind : int {
   kProc = 1,    ///< forked rank processes + sockets + shm segment
 };
 
-/// Per-world failure-detection knobs. Everything defaults off, which makes
-/// the communicator behave exactly like the pre-abortable one (untimed
-/// waits, plain join). from_env() reads the ZI_* variables so trainer-level
-/// entry points can opt in without code changes.
+/// Per-world failure-detection knobs. from_env() reads the ZI_* variables so
+/// trainer-level entry points can tune them without code changes.
 struct WorldOptions {
   /// Max time any single comm wait may block before the waiter blames a
-  /// missing peer and poisons the world. <= 0: wait forever.
-  double timeout_ms = 0.0;
+  /// missing peer and poisons the world. Must be finite and > 0: run_world
+  /// and from_env() throw Error otherwise.
+  double timeout_ms = 60000.0;
   /// Watchdog poll cadence. <= 0: no watchdog thread.
   double watchdog_interval_ms = 0.0;
   /// Heartbeat age at which the watchdog declares a running rank stalled.
@@ -129,13 +128,6 @@ struct WorldOptions {
   /// Consecutive over-threshold steps before the verdict fires.
   int straggler_steps = 3;
 
-  /// True when any deadline-based detection is active (timed waits tick so
-  /// blocked ranks keep their heartbeats fresh for the watchdog).
-  bool deadlines_enabled() const noexcept {
-    return timeout_ms > 0.0 ||
-           (watchdog_interval_ms > 0.0 && stall_threshold_ms > 0.0);
-  }
-
   /// True when the trainer should time steps and run the straggler detector.
   bool straggler_detection_enabled() const noexcept {
     return straggler_factor > 0.0 && straggler_steps > 0;
@@ -145,8 +137,7 @@ struct WorldOptions {
   /// ZI_P2P_CAP_MSGS / ZI_TRANSPORT / ZI_PROC_SHM_MB /
   /// ZI_STRAGGLER_FACTOR / ZI_STRAGGLER_STEPS when set. Values are
   /// parsed strictly (full-string match) — a typo like ZI_P2P_CAP_BYTES=4gb
-  /// throws instead of silently configuring a zero-capacity channel. Unit
-  /// tests that never set them get the legacy wait-forever semantics.
+  /// throws instead of silently configuring a zero-capacity channel.
   static WorldOptions from_env();
 };
 
@@ -397,12 +388,12 @@ struct WorldReport {
 /// Launch `num_ranks` ranks — threads (inproc) or forked processes (proc),
 /// per options.transport — each receiving a Communicator bound to its rank,
 /// and join them. Never throws rank errors: the full outcome comes back in
-/// the WorldReport. When options enable deadlines, ranks still blocked
-/// join_grace_ms after a poison are detached (counted in `detached`) — such
-/// zombie threads may still reference caller state, so supervisors must
-/// keep the closed-over objects alive (see run_elastic). On the proc
-/// backend wedged rank processes are SIGKILLed instead, and a rank that
-/// dies without reporting (e.g. kill -9) is a primary failure.
+/// the WorldReport (it throws Error only for an invalid timeout_ms). Ranks
+/// still blocked join_grace_ms after a poison are detached (counted in
+/// `detached`) — such zombie threads may still reference caller state, so
+/// supervisors must keep the closed-over objects alive (see run_elastic).
+/// On the proc backend wedged rank processes are SIGKILLed instead, and a
+/// rank that dies without reporting (e.g. kill -9) is a primary failure.
 WorldReport run_world(int num_ranks, const WorldOptions& options,
                       const std::function<void(Communicator&)>& fn);
 

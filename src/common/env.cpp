@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
@@ -46,6 +47,17 @@ std::uint64_t getenv_u64(const char* name, std::uint64_t fallback) {
     throw_invalid(name, v, "a valid base-10 unsigned integer");
   }
   return out;
+}
+
+int getenv_int(const char* name, int fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
+  const std::uint64_t out = getenv_u64(name, 0);
+  if (out > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    throw Error(std::string(name) + "='" + v + "' exceeds INT_MAX (" +
+                std::to_string(std::numeric_limits<int>::max()) + ")");
+  }
+  return static_cast<int>(out);
 }
 
 bool getenv_bool(const char* name, bool fallback) {

@@ -22,9 +22,13 @@ double getenv_f64(const char* name, double fallback);
 /// Read `name` as a base-10 unsigned integer (full-string match) or throw.
 std::uint64_t getenv_u64(const char* name, std::uint64_t fallback);
 
+/// getenv_u64 narrowed to int: values above INT_MAX throw instead of
+/// wrapping (4294967297 must not become 1).
+int getenv_int(const char* name, int fallback);
+
 /// Read `name` as a boolean: 0/1/true/false/on/off/yes/no
-/// (case-insensitive). Anything else throws — "ZI_MOVE_SCHED=off" must
-/// disable the scheduler, not silently count as truthy.
+/// (case-insensitive). Anything else throws — "ZI_MOVE_COALESCE=of" must
+/// not silently count as truthy.
 bool getenv_bool(const char* name, bool fallback);
 
 }  // namespace zi

@@ -11,7 +11,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 
 namespace zi {
 
@@ -125,30 +124,28 @@ std::vector<std::byte> read_checkpoint_file(AioEngine& aio,
     throw IoError("checkpoint not found: " + path, ENOENT);
   }
 
+  // The manifest rename is the commit point: a payload without one is an
+  // interrupted save, not a checkpoint.
   const std::string manifest_path = ckpt_manifest_path(path);
-  bool verified = false;
+  if (!fs::exists(manifest_path)) {
+    throw CheckpointCorruptionError("checkpoint " + path +
+                                    " has no manifest (uncommitted save)");
+  }
   std::uint64_t expect_bytes = 0;
   std::uint64_t expect_sum = 0;
-  if (fs::exists(manifest_path)) {
-    std::ifstream in(manifest_path);
-    std::string header;
-    std::getline(in, header);
-    std::string key_bytes, key_sum;
-    in >> key_bytes >> expect_bytes >> key_sum >> std::hex >> expect_sum;
-    if (!in || header != kManifestHeader || key_bytes != "bytes" ||
-        key_sum != "fnv1a64") {
-      throw CheckpointCorruptionError("unreadable manifest: " +
-                                      manifest_path);
-    }
-    verified = true;
-  } else {
-    ZI_LOG_WARN << "checkpoint " << path
-                << " has no manifest; loading unverified (legacy format)";
+  std::ifstream in(manifest_path);
+  std::string header;
+  std::getline(in, header);
+  std::string key_bytes, key_sum;
+  in >> key_bytes >> expect_bytes >> key_sum >> std::hex >> expect_sum;
+  if (!in || header != kManifestHeader || key_bytes != "bytes" ||
+      key_sum != "fnv1a64") {
+    throw CheckpointCorruptionError("unreadable manifest: " + manifest_path);
   }
 
   AioFile* f = aio.open(path);
   const std::uint64_t actual_bytes = f->size();
-  if (verified && actual_bytes != expect_bytes) {
+  if (actual_bytes != expect_bytes) {
     throw CheckpointCorruptionError(
         "checkpoint " + path + ": manifest says " +
         std::to_string(expect_bytes) + " bytes, file has " +
@@ -156,14 +153,12 @@ std::vector<std::byte> read_checkpoint_file(AioEngine& aio,
   }
   std::vector<std::byte> blob(actual_bytes);
   if (!blob.empty()) aio.read(f, 0, blob);
-  if (verified) {
-    const std::uint64_t actual_sum = ckpt_checksum(blob);
-    if (actual_sum != expect_sum) {
-      std::ostringstream msg;
-      msg << "checkpoint " << path << ": checksum mismatch (manifest "
-          << std::hex << expect_sum << ", payload " << actual_sum << ")";
-      throw CheckpointCorruptionError(msg.str());
-    }
+  const std::uint64_t actual_sum = ckpt_checksum(blob);
+  if (actual_sum != expect_sum) {
+    std::ostringstream msg;
+    msg << "checkpoint " << path << ": checksum mismatch (manifest "
+        << std::hex << expect_sum << ", payload " << actual_sum << ")";
+    throw CheckpointCorruptionError(msg.str());
   }
   return blob;
 }

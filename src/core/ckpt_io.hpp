@@ -7,12 +7,11 @@
 // The write protocol makes the pair atomic with respect to crashes:
 //   1. payload  -> <path>.tmp, fsync, rename to <path>
 //   2. manifest -> <path>.manifest.tmp, fsync, rename, fsync(parent dir)
-// The manifest rename is the commit point: a checkpoint without a valid
-// manifest is either legacy (pre-manifest format, loaded unverified) or an
-// interrupted write (rejected). A payload that disagrees with its manifest
-// — truncation, bit rot, torn write — fails verification at load time with
-// CheckpointCorruptionError, which resume logic treats as "fall back to the
-// previous checkpoint" rather than a fatal error.
+// The manifest rename is the commit point: a payload without a valid
+// manifest is an interrupted write, and one that disagrees with its
+// manifest — truncation, bit rot, torn write — fails verification. Both
+// throw CheckpointCorruptionError at load time, which resume logic treats
+// as "fall back to the previous checkpoint" rather than a fatal error.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +35,9 @@ std::string ckpt_manifest_path(const std::string& path);
 void write_checkpoint_file(AioEngine& aio, const std::string& path,
                            std::span<const std::byte> blob);
 
-/// Read and verify a checkpoint payload. A missing manifest means a legacy
-/// (pre-manifest) file: returned unverified. Any mismatch between manifest
-/// and payload throws CheckpointCorruptionError.
+/// Read and verify a checkpoint payload. A missing or unreadable manifest,
+/// or any mismatch between manifest and payload, throws
+/// CheckpointCorruptionError.
 std::vector<std::byte> read_checkpoint_file(AioEngine& aio,
                                             const std::string& path);
 

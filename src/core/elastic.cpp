@@ -54,10 +54,6 @@ ElasticReport run_elastic(const ElasticConfig& config,
                           const ModelFactory& make_model) {
   ZI_CHECK(config.ranks >= 1);
   ZI_CHECK(config.min_ranks >= 1 && config.min_ranks <= config.ranks);
-  WorldOptions wopts = config.world;
-  if (wopts.timeout_ms <= 0.0) {
-    wopts.timeout_ms = ElasticConfig::kDefaultTimeoutMs;
-  }
 
   ElasticReport rep;
   int world = config.ranks;
@@ -78,7 +74,7 @@ ElasticReport run_elastic(const ElasticConfig& config,
     TrainerConfig tc = config.trainer;
     tc.rank_weights = cur_weights;
     const WorldReport wr =
-        run_world(world, wopts, [&, ec, tc](Communicator& comm) {
+        run_world(world, config.world, [&, ec, tc](Communicator& comm) {
           std::unique_ptr<TrainableModel> model = make_model();
           ZeroEngine engine(*model, comm, aio, ec);
           Trainer trainer(engine, comm, train, eval_data, tc);

@@ -41,14 +41,10 @@ struct ElasticConfig {
   int ranks = 2;         ///< initial world size
   int min_ranks = 1;     ///< give up when fewer ranks would survive
   int max_restarts = 3;  ///< give up after this many relaunches
-  /// Per-attempt world options. Failure detection is the supervisor's whole
-  /// reason to exist, so when timeout_ms is unset (<= 0) it defaults to
-  /// kDefaultTimeoutMs here — unlike bare run_ranks, which keeps timeouts
-  /// off for unit tests.
+  /// Per-attempt world options; their comm deadline (timeout_ms) is what
+  /// turns a hung peer into a detected failure the supervisor can act on.
   WorldOptions world = WorldOptions::from_env();
   TrainerConfig trainer;
-
-  static constexpr double kDefaultTimeoutMs = 5000.0;
 };
 
 /// One world launch within an elastic run.

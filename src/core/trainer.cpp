@@ -141,15 +141,6 @@ std::int64_t Trainer::try_resume() {
   if (config_.checkpoint_path.empty()) return 0;
   for (const std::int64_t step : list_checkpoint_steps(config_.checkpoint_path)) {
     const std::string file = checkpoint_file(config_.checkpoint_path, step);
-    // A payload without its manifest is an interrupted save (the manifest
-    // rename is the commit point) — never a resume candidate.
-    if (!fs::exists(ckpt_manifest_path(file))) {
-      if (comm_.rank() == 0) {
-        ZI_LOG_WARN << "skipping uncommitted checkpoint " << file
-                    << " (no manifest)";
-      }
-      continue;
-    }
     try {
       engine_.load_checkpoint(file);
       if (comm_.rank() == 0) {
@@ -158,8 +149,8 @@ std::int64_t Trainer::try_resume() {
       resumed_step_ = step;
       return step;
     } catch (const CheckpointCorruptionError& e) {
-      // Every rank reads the same bytes, so all ranks throw (and fall back)
-      // in lockstep.
+      // Uncommitted (no manifest) or corrupt. Every rank reads the same
+      // bytes, so all ranks throw (and fall back) in lockstep.
       if (comm_.rank() == 0) {
         ZI_LOG_WARN << "checkpoint rejected: " << e.what()
                     << "; trying an older one";

@@ -39,11 +39,7 @@ const char* route_name(Route r) {
 }
 
 void TransferHandle::wait_inner() {
-  if (sched_ != nullptr) {
-    sched_->wait(ticket_);
-  } else {
-    status_.wait();
-  }
+  if (sched_ != nullptr) sched_->wait(ticket_);
 }
 
 void TransferHandle::wait() {
@@ -117,14 +113,11 @@ TransferHandle DataMover::fetch_nvme(const Extent& extent,
                 span_args(dst.size()));
   note_issue(Route::kNvmeFetch, dst.size());
   Transfer t{Route::kNvmeFetch, dst.size(), offset};
-  if (sched_.config().enabled) {
-    check_extent(extent, dst.size(), offset, "fetch");
-    return TransferHandle(this, t, &sched_,
-                          sched_.submit(Route::kNvmeFetch, cls,
-                                        extent.offset() + offset, dst.data(),
-                                        dst.size()));
-  }
-  return TransferHandle(this, t, nvme_.read_async(extent, dst, offset));
+  check_extent(extent, dst.size(), offset, "fetch");
+  return TransferHandle(this, t, &sched_,
+                        sched_.submit(Route::kNvmeFetch, cls,
+                                      extent.offset() + offset, dst.data(),
+                                      dst.size()));
 }
 
 TransferHandle DataMover::spill_nvme(const Extent& extent,
@@ -134,16 +127,13 @@ TransferHandle DataMover::spill_nvme(const Extent& extent,
                 span_args(src.size()));
   note_issue(Route::kNvmeSpill, src.size());
   Transfer t{Route::kNvmeSpill, src.size(), offset};
-  if (sched_.config().enabled) {
-    check_extent(extent, src.size(), offset, "spill");
-    // The scheduler only reads spill payloads; const_cast confined here,
-    // mirroring AioEngine::submit_write.
-    return TransferHandle(
-        this, t, &sched_,
-        sched_.submit(Route::kNvmeSpill, cls, extent.offset() + offset,
-                      const_cast<std::byte*>(src.data()), src.size()));
-  }
-  return TransferHandle(this, t, nvme_.write_async(extent, src, offset));
+  check_extent(extent, src.size(), offset, "spill");
+  // The scheduler only reads spill payloads; const_cast confined here,
+  // mirroring AioEngine::submit_write.
+  return TransferHandle(
+      this, t, &sched_,
+      sched_.submit(Route::kNvmeSpill, cls, extent.offset() + offset,
+                    const_cast<std::byte*>(src.data()), src.size()));
 }
 
 void DataMover::fetch_nvme_sync(const Extent& extent, std::span<std::byte> dst,
@@ -163,14 +153,11 @@ TransferHandle DataMover::fetch_kv(const Extent& extent,
   ZI_TRACE_SPAN("move", route_name(Route::kKvFetch), span_args(dst.size()));
   note_issue(Route::kKvFetch, dst.size());
   Transfer t{Route::kKvFetch, dst.size(), offset};
-  if (sched_.config().enabled) {
-    check_extent(extent, dst.size(), offset, "kv fetch");
-    return TransferHandle(this, t, &sched_,
-                          sched_.submit(Route::kKvFetch, cls,
-                                        extent.offset() + offset, dst.data(),
-                                        dst.size()));
-  }
-  return TransferHandle(this, t, nvme_.read_async(extent, dst, offset));
+  check_extent(extent, dst.size(), offset, "kv fetch");
+  return TransferHandle(this, t, &sched_,
+                        sched_.submit(Route::kKvFetch, cls,
+                                      extent.offset() + offset, dst.data(),
+                                      dst.size()));
 }
 
 TransferHandle DataMover::spill_kv(const Extent& extent,
@@ -179,15 +166,12 @@ TransferHandle DataMover::spill_kv(const Extent& extent,
   ZI_TRACE_SPAN("move", route_name(Route::kKvSpill), span_args(src.size()));
   note_issue(Route::kKvSpill, src.size());
   Transfer t{Route::kKvSpill, src.size(), offset};
-  if (sched_.config().enabled) {
-    check_extent(extent, src.size(), offset, "kv spill");
-    // Read-only payload; const_cast confined here like spill_nvme.
-    return TransferHandle(
-        this, t, &sched_,
-        sched_.submit(Route::kKvSpill, cls, extent.offset() + offset,
-                      const_cast<std::byte*>(src.data()), src.size()));
-  }
-  return TransferHandle(this, t, nvme_.write_async(extent, src, offset));
+  check_extent(extent, src.size(), offset, "kv spill");
+  // Read-only payload; const_cast confined here like spill_nvme.
+  return TransferHandle(
+      this, t, &sched_,
+      sched_.submit(Route::kKvSpill, cls, extent.offset() + offset,
+                    const_cast<std::byte*>(src.data()), src.size()));
 }
 
 void DataMover::fetch_copy(Route r, std::span<std::byte> dst,

@@ -9,8 +9,8 @@
 //   * stage(bytes)   — one pinned-or-heap staging decision (StagingLease),
 //                      under the existing `pinned_acquire` fault site;
 //   * fetch_/spill_* — every hop between a tier and a host buffer, async
-//                      (NVMe, returning a TransferHandle that wraps the
-//                      AioStatus) or synchronous eager (memcpy routes and
+//                      (NVMe, returning a TransferHandle on a scheduler
+//                      ticket) or synchronous eager (memcpy routes and
 //                      the *_sync NVMe helpers, which skip the handle);
 //   * per-route counters (bytes / transfers / seconds) exported into
 //     StepReport, and a ZI_TRACE_SPAN on every transfer.
@@ -36,8 +36,8 @@ namespace zi {
 
 class DataMover;
 
-/// Completion handle for one asynchronous transfer. Wraps the AioEngine
-/// status with the route descriptor and the mover's latency accounting.
+/// Completion handle for one asynchronous transfer. Wraps the scheduler
+/// ticket with the route descriptor and the mover's latency accounting.
 /// Move-only so wait-latency is recorded exactly once; default-constructed
 /// handles are trivially complete (the memcpy routes and empty slots).
 ///
@@ -52,22 +52,18 @@ class [[nodiscard]] TransferHandle {
       : mover_(o.mover_),
         sched_(o.sched_),
         transfer_(o.transfer_),
-        status_(o.status_),
         ticket_(std::move(o.ticket_)) {
     o.mover_ = nullptr;
     o.sched_ = nullptr;
-    o.status_ = AioStatus();
   }
   TransferHandle& operator=(TransferHandle&& o) noexcept {
     if (this != &o) {
       mover_ = o.mover_;
       sched_ = o.sched_;
       transfer_ = o.transfer_;
-      status_ = o.status_;
       ticket_ = std::move(o.ticket_);
       o.mover_ = nullptr;
       o.sched_ = nullptr;
-      o.status_ = AioStatus();
     }
     return *this;
   }
@@ -80,19 +76,15 @@ class [[nodiscard]] TransferHandle {
   void wait();
 
   bool done() const {
-    return sched_ != nullptr
-               ? ticket_->done.load(std::memory_order_acquire)
-               : status_.done();
+    return sched_ == nullptr || ticket_->done.load(std::memory_order_acquire);
   }
   /// done() with no error recorded.
-  bool ok() const {
-    return sched_ != nullptr ? done() && error_code() == 0 : status_.ok();
-  }
+  bool ok() const { return done() && error_code() == 0; }
   /// errno of the first failed sub-request (0 = none). Never throws.
   int error_code() const {
     return sched_ != nullptr
                ? ticket_->error_code.load(std::memory_order_relaxed)
-               : status_.error_code();
+               : 0;
   }
 
   const Transfer& transfer() const noexcept { return transfer_; }
@@ -101,11 +93,8 @@ class [[nodiscard]] TransferHandle {
 
  private:
   friend class DataMover;
-  TransferHandle(DataMover* mover, const Transfer& t, AioStatus status)
-      : mover_(mover), transfer_(t), status_(status) {}
-  /// A transfer routed through the scheduler: completion lives in the
-  /// ticket, not an AioStatus (the backing AIO request may be a merge of
-  /// several handles' ranges).
+  /// Completion lives in the scheduler ticket, not an AioStatus: the
+  /// backing AIO request may be a merge of several handles' ranges.
   TransferHandle(DataMover* mover, const Transfer& t, TransferScheduler* sched,
                  TransferScheduler::Ticket ticket)
       : mover_(mover), sched_(sched), transfer_(t), ticket_(std::move(ticket)) {}
@@ -113,9 +102,8 @@ class [[nodiscard]] TransferHandle {
   void wait_inner();
 
   DataMover* mover_ = nullptr;  ///< cleared once latency is recorded
-  TransferScheduler* sched_ = nullptr;  ///< non-null = scheduler-routed
+  TransferScheduler* sched_ = nullptr;  ///< null = trivially complete
   Transfer transfer_{};
-  AioStatus status_{};
   TransferScheduler::Ticket ticket_;
 };
 

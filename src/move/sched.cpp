@@ -40,14 +40,12 @@ AioStatus NvmeSchedBackend::issue(const SchedOp& op,
 
 TransferScheduler::Config TransferScheduler::Config::from_env() {
   Config c;
-  c.enabled = getenv_bool("ZI_MOVE_SCHED", c.enabled);
   c.coalesce = getenv_bool("ZI_MOVE_COALESCE", c.coalesce);
   c.max_merge_bytes = getenv_u64("ZI_MOVE_MAX_MERGE_BYTES", c.max_merge_bytes);
   c.max_inflight = static_cast<std::size_t>(
       getenv_u64("ZI_MOVE_MAX_INFLIGHT", c.max_inflight));
-  const std::uint64_t starve = getenv_u64("ZI_MOVE_STARVATION_BOUND",
-      static_cast<std::uint64_t>(c.starvation_bound));
-  c.starvation_bound = static_cast<int>(starve);
+  c.starvation_bound =
+      getenv_int("ZI_MOVE_STARVATION_BOUND", c.starvation_bound);
   // Rates come in MB/s (0 = unlimited). The KV-cache routes share the NVMe
   // device, so the same knobs bound them per direction.
   const std::uint64_t fetch_mbps = getenv_u64("ZI_MOVE_FETCH_MBPS", 0);

@@ -117,9 +117,6 @@ struct SchedTicket {
 class TransferScheduler {
  public:
   struct Config {
-    /// Master switch (ZI_MOVE_SCHED): when false DataMover bypasses the
-    /// scheduler entirely and submits straight to the NvmeStore.
-    bool enabled = true;
     /// Merge adjacent same-route transfers (ZI_MOVE_COALESCE).
     bool coalesce = true;
     /// Byte cap of one merged backend request (ZI_MOVE_MAX_MERGE_BYTES).

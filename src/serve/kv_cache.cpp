@@ -6,14 +6,6 @@
 
 namespace zi {
 
-KvTier parse_kv_tier(std::string_view s) {
-  if (s == "gpu") return KvTier::kGpu;
-  if (s == "cpu") return KvTier::kCpu;
-  if (s == "nvme") return KvTier::kNvme;
-  throw Error("unknown KV tier '" + std::string(s) +
-              "' (expected gpu, cpu, or nvme)");
-}
-
 const char* kv_tier_name(KvTier t) {
   switch (t) {
     case KvTier::kGpu: return "gpu";

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "core/rank_resources.hpp"
@@ -32,9 +31,6 @@ namespace zi {
 /// Where a request's KV state lives between decode steps.
 enum class KvTier { kGpu, kCpu, kNvme };
 
-/// Parse "gpu" / "cpu" / "nvme" (the ZI_SERVE_KV_TIER values); throws on
-/// anything else.
-KvTier parse_kv_tier(std::string_view s);
 const char* kv_tier_name(KvTier t);
 
 class TieredKvCache {

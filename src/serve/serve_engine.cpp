@@ -2,27 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <thread>
 
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "obs/trace.hpp"
 
 namespace zi {
-
-ServeConfig ServeConfig::from_env() {
-  ServeConfig c;
-  c.max_batch = static_cast<int>(getenv_u64("ZI_SERVE_MAX_BATCH", 4));
-  c.max_new_tokens =
-      static_cast<std::int64_t>(getenv_u64("ZI_SERVE_MAX_NEW", 8));
-  if (const char* tier = std::getenv("ZI_SERVE_KV_TIER")) {
-    c.kv_tier = parse_kv_tier(tier);
-  }
-  if (const char* log = std::getenv("ZI_SERVE_LOG")) c.request_log = log;
-  return c;
-}
 
 ServeEngine::ServeEngine(StreamEngine& engine, DecodableModel& model,
                          ServeConfig config)

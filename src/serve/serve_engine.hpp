@@ -53,9 +53,6 @@ struct ServeConfig {
   /// JSONL path for per-request latency lines (rank 0 appends one line per
   /// completed request plus a final aggregate line). Empty disables.
   std::string request_log;
-
-  /// Read the ZI_SERVE_* knobs from the environment.
-  static ServeConfig from_env();
 };
 
 struct ServeRequest {

@@ -105,14 +105,15 @@ TEST_F(CheckpointCrashTest, MangledManifestIsRejected) {
   EXPECT_THROW(read_checkpoint_file(aio, path), CheckpointCorruptionError);
 }
 
-TEST_F(CheckpointCrashTest, MissingManifestLoadsUnverifiedForBackCompat) {
+TEST_F(CheckpointCrashTest, MissingManifestIsRejected) {
   AioEngine aio;
-  const std::string path = (dir_ / "legacy.ckpt").string();
-  std::vector<std::byte> blob(256, std::byte{0x55});
-  write_checkpoint_file(aio, path, blob);
+  const std::string path = (dir_ / "uncommitted.ckpt").string();
+  write_checkpoint_file(aio, path,
+                        std::vector<std::byte>(256, std::byte{0x55}));
   fs::remove(ckpt_manifest_path(path));
-  // Legacy (pre-manifest) checkpoints still load; verification is skipped.
-  EXPECT_TRUE(read_checkpoint_file(aio, path) == blob);
+  // The manifest rename is the commit point: an intact payload without one
+  // is an interrupted save, never a checkpoint.
+  EXPECT_THROW(read_checkpoint_file(aio, path), CheckpointCorruptionError);
 }
 
 // ---------------------------------------------------------------------------

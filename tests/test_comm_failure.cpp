@@ -323,7 +323,9 @@ TEST_F(CommFailureTest, RankCrashFiresAtExactPerRankOrdinal) {
 TEST_F(CommFailureTest, SeededRankStallIsDetectedByHeartbeatAge) {
   FaultInjector::instance().configure(
       "seed=7;rank_stall:error,rank=1,after=2,count=1");
-  WorldOptions opts;  // no timeout: detection must come from the watchdog
+  // The default comm deadline (60 s) is far beyond the test: detection must
+  // come from the watchdog.
+  WorldOptions opts;
   opts.watchdog_interval_ms = 50.0;
   opts.stall_threshold_ms = 400.0;
   const WorldReport rep =

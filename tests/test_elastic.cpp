@@ -78,7 +78,7 @@ struct TrainSetup {
     return cfg;
   }
 
-  /// A clean legacy-options run (no deadlines) that mirrors the elastic
+  /// A clean default-options run (bare run_ranks) that mirrors the elastic
   /// attempt body op-for-op — including try_resume() — so fault-site
   /// ordinals measured here transfer exactly to the supervised run.
   std::pair<std::vector<float>, std::int64_t> run(const fs::path& dir,

@@ -385,7 +385,7 @@ struct StragglerSetup {
     return cfg;
   }
 
-  /// A clean legacy-options run (no deadlines, detection off) with optional
+  /// A clean default-options run (detection off) with optional
   /// weights — the static control a rebalanced world is compared against.
   std::pair<std::vector<float>, std::int64_t> run(const fs::path& dir,
                                                   int ranks, AioEngine& aio,
@@ -501,7 +501,7 @@ TEST_F(StragglerTest, InjectedStragglerIsRebalancedBitIdentically) {
   AioEngine aio;
 
   // World options shared by the probe and the elastic run: detection armed,
-  // deadlines on (the supervisor's default behavior).
+  // an 8 s comm deadline.
   const double kFactor = 3.0;
   const int kSteps = 2;
   ElasticConfig ec;

@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -45,6 +46,7 @@
 #include "data/dataset.hpp"
 #include "data/tokenizer.hpp"
 #include "model/gpt.hpp"
+#include "move/sched.hpp"
 #include "testing/fault_injector.hpp"
 
 namespace zi {
@@ -110,9 +112,13 @@ class TransportConformance
   }
   void TearDown() override { FaultInjector::instance().clear(); }
 
-  WorldOptions opts(double timeout_ms = 0.0) const {
+  WorldOptions opts() const {
     WorldOptions o;
     o.transport = GetParam();
+    return o;
+  }
+  WorldOptions opts(double timeout_ms) const {
+    WorldOptions o = opts();
     o.timeout_ms = timeout_ms;
     return o;
   }
@@ -496,6 +502,63 @@ TEST(WorldOptionsFromEnv, RejectsGarbageFloat) {
   EXPECT_THROW((void)WorldOptions::from_env(), Error);
   guard.set("inf");
   EXPECT_THROW((void)WorldOptions::from_env(), Error);
+  // Every comm wait has a deadline; a negative one must not mean "never".
+  guard.set("-5");
+  EXPECT_THROW((void)WorldOptions::from_env(), Error);
+}
+
+TEST(WorldOptions, DefaultTimeoutIsFiniteAndNonPositiveIsRejected) {
+  const WorldOptions defaults;
+  EXPECT_TRUE(std::isfinite(defaults.timeout_ms));
+  EXPECT_GT(defaults.timeout_ms, 0.0);
+  for (const double t : {0.0, -1.0}) {
+    WorldOptions o;
+    o.timeout_ms = t;
+    bool ran = false;
+    EXPECT_THROW((void)run_world(1, o, [&](Communicator&) { ran = true; }),
+                 Error)
+        << "timeout_ms=" << t;
+    EXPECT_FALSE(ran);
+  }
+  EnvGuard guard("ZI_COMM_TIMEOUT_MS");
+  guard.set("0");
+  try {
+    (void)WorldOptions::from_env();
+    FAIL() << "from_env accepted ZI_COMM_TIMEOUT_MS=0";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("ZI_COMM_TIMEOUT_MS"),
+              std::string::npos);
+  }
+}
+
+// Integer knobs are read as u64 and narrowed to int: without a range check
+// 4294967297 would wrap to 1 and pass the > 0 check.
+TEST(WorldOptionsFromEnv, RejectsIntKnobsAboveIntMax) {
+  struct Case {
+    const char* var;
+    void (*read)();
+  };
+  const Case cases[] = {
+      {"ZI_STRAGGLER_STEPS", [] { (void)WorldOptions::from_env(); }},
+      {"ZI_MOVE_STARVATION_BOUND",
+       [] { (void)TransferScheduler::Config::from_env(); }},
+  };
+  for (const Case& c : cases) {
+    EnvGuard guard(c.var);
+    for (const char* v : {"4294967297", "4294967299", "2147483648"}) {
+      guard.set(v);
+      try {
+        c.read();
+        FAIL() << c.var << "=" << v << " was accepted";
+      } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(c.var), std::string::npos) << what;
+        EXPECT_NE(what.find(v), std::string::npos) << what;
+      }
+    }
+    guard.set("2147483647");  // INT_MAX itself still parses
+    EXPECT_NO_THROW(c.read());
+  }
 }
 
 TEST(WorldOptionsFromEnv, RejectsUnknownTransport) {
