@@ -96,20 +96,4 @@ bool half::isfinite() const noexcept { return (bits_ & 0x7C00u) != 0x7C00u; }
 
 std::ostream& operator<<(std::ostream& os, half h) { return os << h.to_float(); }
 
-bfloat16::bfloat16(float f) noexcept {
-  std::uint32_t x = std::bit_cast<std::uint32_t>(f);
-  if ((x & 0x7F800000u) == 0x7F800000u && (x & 0x007FFFFFu) != 0) {
-    // NaN: keep quiet bit.
-    bits_ = static_cast<std::uint16_t>((x >> 16) | 0x0040u);
-    return;
-  }
-  // Round-to-nearest-even on the truncated 16 bits.
-  const std::uint32_t rounding = 0x7FFFu + ((x >> 16) & 1u);
-  bits_ = static_cast<std::uint16_t>((x + rounding) >> 16);
-}
-
-float bfloat16::to_float() const noexcept {
-  return std::bit_cast<float>(static_cast<std::uint32_t>(bits_) << 16);
-}
-
 }  // namespace zi

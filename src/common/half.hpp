@@ -1,4 +1,4 @@
-// Software IEEE 754 binary16 ("half") and bfloat16 types.
+// Software IEEE 754 binary16 ("half") type.
 //
 // The paper trains in mixed precision: parameters and gradients in fp16,
 // optimizer state in fp32 (Sec. 2, "Adam Optimizer and Mixed Precision
@@ -72,32 +72,5 @@ class half {
 static_assert(sizeof(half) == 2, "half must be exactly 2 bytes");
 
 std::ostream& operator<<(std::ostream& os, half h);
-
-/// bfloat16: float truncated to its top 16 bits (round-to-nearest-even).
-/// Included for completeness of the dtype system; the paper's recipe is fp16.
-class bfloat16 {
- public:
-  bfloat16() noexcept = default;
-  explicit bfloat16(float f) noexcept;
-
-  static bfloat16 from_bits(std::uint16_t bits) noexcept {
-    bfloat16 b;
-    b.bits_ = bits;
-    return b;
-  }
-
-  std::uint16_t bits() const noexcept { return bits_; }
-  float to_float() const noexcept;
-  explicit operator float() const noexcept { return to_float(); }
-
-  friend bool operator==(bfloat16 a, bfloat16 b) noexcept {
-    return a.to_float() == b.to_float();
-  }
-
- private:
-  std::uint16_t bits_ = 0;
-};
-
-static_assert(sizeof(bfloat16) == 2, "bfloat16 must be exactly 2 bytes");
 
 }  // namespace zi

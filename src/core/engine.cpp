@@ -241,15 +241,12 @@ ZeroEngine::StepStats ZeroEngine::train_step(
 }
 
 void ZeroEngine::emit_step_report(const StepStats& st, double step_seconds) {
-  auto delta = [](std::uint64_t now, std::uint64_t& base) {
-    const std::uint64_t d = now - base;
-    base = now;
-    return d;
-  };
   auto rload = [](const std::atomic<std::uint64_t>& a) {
     return a.load(std::memory_order_relaxed);
   };
 
+  // Fill every kDelta field with its source counter's cumulative value;
+  // subtract_deltas then turns them into this step's deltas.
   StepReport r;
   r.step = step_;
   r.rank = comm_.rank();
@@ -262,83 +259,71 @@ void ZeroEngine::emit_step_report(const StepStats& st, double step_seconds) {
   r.opt_seconds = st.opt_seconds;
 
   const CommTraffic& t = comm_.traffic();
-  r.allgather_bytes = delta(rload(t.allgather_bytes),
-                            metrics_base_.allgather_bytes);
-  r.reduce_scatter_bytes = delta(rload(t.reduce_scatter_bytes),
-                                 metrics_base_.reduce_scatter_bytes);
-  r.broadcast_bytes = delta(rload(t.broadcast_bytes),
-                            metrics_base_.broadcast_bytes);
-  r.allreduce_bytes = delta(rload(t.allreduce_bytes),
-                            metrics_base_.allreduce_bytes);
-  r.collectives = delta(rload(t.collectives), metrics_base_.collectives);
-  r.barriers = delta(rload(t.barriers), metrics_base_.barriers);
+  r.allgather_bytes = rload(t.allgather_bytes);
+  r.reduce_scatter_bytes = rload(t.reduce_scatter_bytes);
+  r.broadcast_bytes = rload(t.broadcast_bytes);
+  r.allreduce_bytes = rload(t.allreduce_bytes);
+  r.collectives = rload(t.collectives);
+  r.barriers = rload(t.barriers);
 
   const AioEngine::Stats aio = res_.aio().stats();
-  r.aio_bytes_read = delta(aio.bytes_read, metrics_base_.aio_bytes_read);
-  r.aio_bytes_written = delta(aio.bytes_written,
-                              metrics_base_.aio_bytes_written);
-  r.aio_requests = delta(aio.requests, metrics_base_.aio_requests);
-  r.aio_retries = delta(aio.retries, metrics_base_.aio_retries);
+  r.aio_bytes_read = aio.bytes_read;
+  r.aio_bytes_written = aio.bytes_written;
+  r.aio_requests = aio.requests;
+  r.aio_retries = aio.retries;
 
   if (coordinator_ != nullptr) {
     const ParamCoordinator::Stats& cs = coordinator_->stats();
-    r.fetches = delta(cs.fetches, metrics_base_.fetches);
-    r.releases = delta(cs.releases, metrics_base_.releases);
-    r.prefetches_issued = delta(cs.prefetches_issued,
-                                metrics_base_.prefetches_issued);
-    r.prefetch_hits = delta(cs.prefetch_hits, metrics_base_.prefetch_hits);
-    r.prefetch_drops = delta(cs.prefetch_drops, metrics_base_.prefetch_drops);
-    r.prefetch_hit_rate =
-        r.prefetches_issued > 0
-            ? static_cast<double>(r.prefetch_hits) /
-                  static_cast<double>(r.prefetches_issued)
-            : 0.0;
-    r.grads_reduced = delta(cs.grads_reduced, metrics_base_.grads_reduced);
-    r.fetch_seconds = cs.fetch_seconds - metrics_base_.fetch_seconds;
-    metrics_base_.fetch_seconds = cs.fetch_seconds;
-    r.reduce_seconds = cs.reduce_seconds - metrics_base_.reduce_seconds;
-    metrics_base_.reduce_seconds = cs.reduce_seconds;
+    r.fetches = cs.fetches;
+    r.releases = cs.releases;
+    r.prefetches_issued = cs.prefetches_issued;
+    r.prefetch_hits = cs.prefetch_hits;
+    r.prefetch_drops = cs.prefetch_drops;
+    r.grads_reduced = cs.grads_reduced;
+    r.fetch_seconds = cs.fetch_seconds;
+    r.reduce_seconds = cs.reduce_seconds;
   }
 
   const DataMover::Stats mv = res_.mover().stats();
-  auto route_delta = [&](Route route) {
-    const auto i = static_cast<std::size_t>(route);
-    return delta(mv.routes[i].bytes, metrics_base_.move_route_bytes[i]);
+  auto route_bytes = [&mv](Route route) {
+    return mv.routes[static_cast<std::size_t>(route)].bytes;
   };
-  r.move_gpu_fetch_bytes = route_delta(Route::kGpuFetch);
-  r.move_gpu_spill_bytes = route_delta(Route::kGpuSpill);
-  r.move_cpu_fetch_bytes = route_delta(Route::kCpuFetch);
-  r.move_cpu_spill_bytes = route_delta(Route::kCpuSpill);
-  r.move_nvme_fetch_bytes = route_delta(Route::kNvmeFetch);
-  r.move_nvme_spill_bytes = route_delta(Route::kNvmeSpill);
-  r.move_kv_fetch_bytes = route_delta(Route::kKvFetch);
-  r.move_kv_spill_bytes = route_delta(Route::kKvSpill);
-  r.move_transfers = delta(mv.total_transfers(), metrics_base_.move_transfers);
-  r.move_wait_seconds = mv.total_seconds() - metrics_base_.move_wait_seconds;
-  metrics_base_.move_wait_seconds = mv.total_seconds();
-  r.staged_pinned = delta(mv.staged_pinned, metrics_base_.staged_pinned);
-  r.staged_heap = delta(mv.staged_heap, metrics_base_.staged_heap);
+  r.move_gpu_fetch_bytes = route_bytes(Route::kGpuFetch);
+  r.move_gpu_spill_bytes = route_bytes(Route::kGpuSpill);
+  r.move_cpu_fetch_bytes = route_bytes(Route::kCpuFetch);
+  r.move_cpu_spill_bytes = route_bytes(Route::kCpuSpill);
+  r.move_nvme_fetch_bytes = route_bytes(Route::kNvmeFetch);
+  r.move_nvme_spill_bytes = route_bytes(Route::kNvmeSpill);
+  r.move_kv_fetch_bytes = route_bytes(Route::kKvFetch);
+  r.move_kv_spill_bytes = route_bytes(Route::kKvSpill);
+  r.move_transfers = mv.total_transfers();
+  r.move_wait_seconds = mv.total_seconds();
+  r.staged_pinned = mv.staged_pinned;
+  r.staged_heap = mv.staged_heap;
+  r.coalesced_transfers = mv.sched.coalesced_transfers;
+  r.sched_preemptions = mv.sched.preemptions;
+  auto queue_seconds = [&mv](TransferClass c) {
+    const auto i = static_cast<std::size_t>(c);
+    return static_cast<double>(mv.sched.queue_ns[i]) * 1e-9;
+  };
+  r.sched_latency_wait_seconds = queue_seconds(TransferClass::kLatency);
+  r.sched_bulk_wait_seconds = queue_seconds(TransferClass::kBulk);
 
-  const std::uint64_t sched_scheduled =
-      delta(mv.sched.scheduled, metrics_base_.sched_scheduled);
-  r.coalesced_transfers =
-      delta(mv.sched.coalesced_transfers, metrics_base_.coalesced_transfers);
-  r.coalesce_ratio =
-      sched_scheduled > 0 ? static_cast<double>(r.coalesced_transfers) /
-                                static_cast<double>(sched_scheduled)
-                          : 0.0;
-  r.sched_preemptions =
-      delta(mv.sched.preemptions, metrics_base_.sched_preemptions);
-  r.sched_latency_wait_seconds =
-      static_cast<double>(delta(
-          mv.sched.queue_ns[static_cast<std::size_t>(TransferClass::kLatency)],
-          metrics_base_.sched_queue_ns[0])) *
-      1e-9;
-  r.sched_bulk_wait_seconds =
-      static_cast<double>(delta(
-          mv.sched.queue_ns[static_cast<std::size_t>(TransferClass::kBulk)],
-          metrics_base_.sched_queue_ns[1])) *
-      1e-9;
+  const StepReport cumulative = r;
+  r = subtract_deltas(cumulative, metrics_base_);
+  metrics_base_ = cumulative;
+
+  // Ratios of this step's deltas.
+  r.prefetch_hit_rate = r.prefetches_issued > 0
+                            ? static_cast<double>(r.prefetch_hits) /
+                                  static_cast<double>(r.prefetches_issued)
+                            : 0.0;
+  const std::uint64_t scheduled = mv.sched.scheduled - sched_scheduled_base_;
+  sched_scheduled_base_ = mv.sched.scheduled;
+  r.coalesce_ratio = scheduled > 0
+                         ? static_cast<double>(r.coalesced_transfers) /
+                               static_cast<double>(scheduled)
+                         : 0.0;
 
   const MemoryAccountant& acct = res_.accountant();
   r.gpu_used = acct.used(Tier::kGpu);
@@ -358,17 +343,17 @@ void ZeroEngine::emit_step_report(const StepStats& st, double step_seconds) {
   // gap and any watermark growth since the previous emit.
   WorldHealth& health = comm_.health();
   const int hranks = health.num_ranks();
-  if (metrics_base_.hb_gap_base.size() != static_cast<std::size_t>(hranks)) {
-    metrics_base_.hb_gap_base.assign(static_cast<std::size_t>(hranks), 0.0);
+  if (hb_gap_base_.size() != static_cast<std::size_t>(hranks)) {
+    hb_gap_base_.assign(static_cast<std::size_t>(hranks), 0.0);
   }
   double worst_age = 0.0;
   for (int hr = 0; hr < hranks; ++hr) {
     const double watermark = health.max_heartbeat_gap_ms(hr);
     double age = health.heartbeat_age_ms(hr);
-    if (watermark > metrics_base_.hb_gap_base[static_cast<std::size_t>(hr)]) {
+    if (watermark > hb_gap_base_[static_cast<std::size_t>(hr)]) {
       age = std::max(age, watermark);
     }
-    metrics_base_.hb_gap_base[static_cast<std::size_t>(hr)] = watermark;
+    hb_gap_base_[static_cast<std::size_t>(hr)] = watermark;
     worst_age = std::max(worst_age, age);
   }
   r.heartbeat_max_age_ms = worst_age;

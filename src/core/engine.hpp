@@ -21,6 +21,7 @@
 #include "core/zero_config.hpp"
 #include "model/trainable.hpp"
 #include "model/local_store.hpp"
+#include "obs/metrics.hpp"
 #include "optim/loss_scaler.hpp"
 
 namespace zi {
@@ -136,43 +137,14 @@ class ZeroEngine {
   std::int64_t opt_step_ = 0;
   double loss_weight_ = 0.0;  ///< 0 = uniform 1/world (legacy expressions)
 
-  /// Cumulative counter values as of the previous StepReport, so each
-  /// report carries per-step deltas (comm/AIO counters are shared across
-  /// ranks; each engine tracks its own baseline).
-  struct CounterBase {
-    std::uint64_t allgather_bytes = 0;
-    std::uint64_t reduce_scatter_bytes = 0;
-    std::uint64_t broadcast_bytes = 0;
-    std::uint64_t allreduce_bytes = 0;
-    std::uint64_t collectives = 0;
-    std::uint64_t barriers = 0;
-    std::uint64_t aio_bytes_read = 0;
-    std::uint64_t aio_bytes_written = 0;
-    std::uint64_t aio_requests = 0;
-    std::uint64_t aio_retries = 0;
-    std::uint64_t fetches = 0;
-    std::uint64_t releases = 0;
-    std::uint64_t prefetches_issued = 0;
-    std::uint64_t prefetch_hits = 0;
-    std::uint64_t prefetch_drops = 0;
-    std::uint64_t grads_reduced = 0;
-    double fetch_seconds = 0.0;
-    double reduce_seconds = 0.0;
-    std::uint64_t move_route_bytes[kNumRoutes] = {};
-    std::uint64_t move_transfers = 0;
-    double move_wait_seconds = 0.0;
-    std::uint64_t staged_pinned = 0;
-    std::uint64_t staged_heap = 0;
-    std::uint64_t sched_scheduled = 0;
-    std::uint64_t coalesced_transfers = 0;
-    std::uint64_t sched_preemptions = 0;
-    std::uint64_t sched_queue_ns[kNumTransferClasses] = {};
-    /// Per-rank heartbeat max-gap watermark at the previous report, so each
-    /// report can tell whether a gap closed during its step and report the
-    /// true step max instead of a point sample (see emit_step_report).
-    std::vector<double> hb_gap_base;
-  };
-  CounterBase metrics_base_;
+  /// The previous StepReport's cumulative snapshot: each report's kDelta
+  /// fields are taken against it (comm/AIO counters are shared across
+  /// ranks; each engine tracks its own base). The scheduled-transfer count
+  /// and the per-rank heartbeat max-gap watermarks are the bases of
+  /// coalesce_ratio and heartbeat_max_age_ms (see emit_step_report).
+  StepReport metrics_base_;
+  std::uint64_t sched_scheduled_base_ = 0;
+  std::vector<double> hb_gap_base_;
 };
 
 }  // namespace zi

@@ -2,63 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace zi {
 
-namespace {
-
-// Not named like the StepReport serializer's helper on purpose: zilint's
-// StepReport field scan is scoped to metrics.cpp.
-void append_field(std::string& out, const char* key, std::int64_t v) {
-  out += '"';
-  out += key;
-  out += "\":";
-  out += std::to_string(v);
-  out += ',';
-}
-
-void append_field(std::string& out, const char* key, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%.9g,", key, v);
-  out += buf;
-}
-
-void finish_line(std::string& out) {
-  if (out.back() == ',') out.pop_back();
-  out += '}';
-}
-
-}  // namespace
-
-std::string RequestReport::to_json_line() const {
-  std::string out;
-  out.reserve(192);
-  out += '{';
-  append_field(out, "request_id", request_id);
-  append_field(out, "tokens_in", tokens_in);
-  append_field(out, "tokens_out", tokens_out);
-  append_field(out, "queue_seconds", queue_seconds);
-  append_field(out, "prefill_seconds", prefill_seconds);
-  append_field(out, "decode_seconds", decode_seconds);
-  append_field(out, "total_seconds", total_seconds());
-  finish_line(out);
-  return out;
-}
-
-std::string ServeReport::to_json_line() const {
-  std::string out;
-  out.reserve(192);
-  out += '{';
-  append_field(out, "requests", requests);
-  append_field(out, "tokens_in", tokens_in);
-  append_field(out, "tokens_out", tokens_out);
-  append_field(out, "p50_latency_seconds", p50_latency_seconds);
-  append_field(out, "p99_latency_seconds", p99_latency_seconds);
-  append_field(out, "elapsed_seconds", elapsed_seconds);
-  append_field(out, "tokens_per_second", tokens_per_second);
-  finish_line(out);
-  return out;
+double RequestReport::total_seconds() const {
+  return queue_seconds + prefill_seconds + decode_seconds;
 }
 
 double percentile(std::vector<double> values, double p) {

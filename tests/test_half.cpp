@@ -1,4 +1,4 @@
-// Unit + property tests for software fp16 / bf16.
+// Unit + property tests for software fp16.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -100,19 +100,6 @@ TEST(HalfProperty, RelativeErrorBound) {
     EXPECT_LE(std::fabs(back - v), std::fabs(v) * (1.0f / 2048.0f) + 1e-20f)
         << v;
   }
-}
-
-TEST(Bf16, Basics) {
-  EXPECT_EQ(bfloat16(1.0f).to_float(), 1.0f);
-  EXPECT_EQ(bfloat16(-2.0f).to_float(), -2.0f);
-  // bf16 has 7 mantissa bits: 1 + 2^-7 is representable, 1 + 2^-8 ties to
-  // even (1.0).
-  EXPECT_EQ(bfloat16(1.0f + std::ldexp(1.0f, -7)).to_float(),
-            1.0f + std::ldexp(1.0f, -7));
-  EXPECT_EQ(bfloat16(1.0f + std::ldexp(1.0f, -8)).to_float(), 1.0f);
-  // Full fp32 exponent range survives.
-  EXPECT_EQ(bfloat16(1e30f).to_float(), bfloat16(1e30f).to_float());
-  EXPECT_NEAR(bfloat16(1e30f).to_float(), 1e30f, 1e28f);
 }
 
 }  // namespace

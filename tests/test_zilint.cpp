@@ -147,18 +147,29 @@ TEST(ZilintRules, HandleDiscipline) {
 
 TEST(ZilintRules, DocDrift) {
   const auto findings = run_fixture("doc_drift");
-  EXPECT_EQ(count_rule(findings, "doc-drift"), 4);
+  EXPECT_EQ(count_rule(findings, "doc-drift"), 5);
   // Both directions, both artifacts.
   EXPECT_TRUE(has_finding(findings, "src/env.cpp", "doc-drift"));
   EXPECT_TRUE(has_finding(findings, "README.md", "doc-drift"));
-  EXPECT_TRUE(has_finding(findings, "src/obs/metrics.cpp", "doc-drift"));
-  EXPECT_TRUE(has_finding(findings, "DESIGN.md", "doc-drift"));
+  // Report table: undocumented field, undeclared row, meaning mismatch.
+  auto has_message = [&](const std::string& file, const std::string& text) {
+    for (const auto& f : findings) {
+      if (f.file == file && f.message.find(text) != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
+  };
+  EXPECT_TRUE(has_message("src/obs/metrics.hpp", "'bogus_field'"));
+  EXPECT_TRUE(has_message("DESIGN.md", "'stale_field'"));
+  EXPECT_TRUE(has_message("DESIGN.md", "meaning of field 'loss' differs"));
+  EXPECT_FALSE(has_message("DESIGN.md", "'step'"));
   // The suppressed read stays quiet.
   for (const auto& f : findings) {
     EXPECT_EQ(f.message.find("ZI_SUPPRESSED"), std::string::npos)
         << zilint::format_finding(f);
   }
-  EXPECT_EQ(findings.size(), 4u);
+  EXPECT_EQ(findings.size(), 5u);
 }
 
 // ---------------------------------------------------------------------------

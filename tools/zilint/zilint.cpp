@@ -80,8 +80,8 @@ const std::map<std::string, std::string>& rule_descriptions() {
        "transfer-issuing call whose returned handle/lease/status is "
        "discarded"},
       {"doc-drift",
-       "ZI_* env var or StepReport field out of sync between code and the "
-       "marker-delimited doc tables"},
+       "ZI_* env var or report field (name or meaning) out of sync between "
+       "code and the marker-delimited doc tables"},
       {"zilint-allow", "zilint:allow naming an unknown rule"},
   };
   return kDescriptions;
@@ -734,12 +734,19 @@ void rule_handle_discipline(const Project& p, std::vector<Finding>& findings) {
 // ---------------------------------------------------------------------------
 // Rule: doc-drift
 
-struct DocTable {
-  bool found = false;
-  int begin_line = -1;
-  std::map<std::string, int> entries;  // name -> 1-based doc line
+/// A table row (or a declared field): its 1-based line and its meaning.
+struct DocRow {
+  int line = 1;
+  std::string meaning;
 };
 
+struct DocTable {
+  bool found = false;
+  std::map<std::string, DocRow> entries;  // name -> row
+};
+
+/// Rows matching `entry_re` between the marker comments; capture 1 is the
+/// name, capture 2 (when the regex has one) the meaning.
 DocTable parse_marker_table(const std::vector<std::string>& doc,
                             const std::string& marker,
                             const std::regex& entry_re) {
@@ -750,15 +757,61 @@ DocTable parse_marker_table(const std::vector<std::string>& doc,
   for (std::size_t i = 0; i < doc.size(); ++i) {
     if (doc[i].find(begin) != std::string::npos) {
       out.found = true;
-      out.begin_line = static_cast<int>(i + 1);
       inside = true;
       continue;
     }
     if (doc[i].find(end) != std::string::npos) inside = false;
     if (!inside) continue;
     std::smatch m;
-    if (std::regex_search(doc[i], m, entry_re)) {
-      out.entries.emplace(m[1].str(), static_cast<int>(i + 1));
+    if (!std::regex_search(doc[i], m, entry_re)) continue;
+    const std::string meaning = m.size() > 2 ? m[2].str() : "";
+    out.entries.emplace(m[1].str(), DocRow{static_cast<int>(i + 1), meaning});
+  }
+  return out;
+}
+
+/// One report declared as `#define ZI_<NAME>_FIELDS(X)` with rows
+/// `X(name, type, init, kind, "doc")` (obs/report.hpp); a row's doc is the
+/// concatenation of its string literals.
+struct ReportDecl {
+  std::string file;
+  std::string macro;   ///< ZI_STEP_REPORT_FIELDS
+  std::string marker;  ///< its DESIGN.md table: stepreport-table
+  std::vector<std::pair<std::string, DocRow>> fields;  // in declared order
+};
+
+std::vector<ReportDecl> find_report_decls(const std::vector<ScannedFile>& src) {
+  static const std::regex kDefine(
+      R"(#\s*define\s+(ZI_([A-Z0-9_]+)_FIELDS)\(X\))");
+  static const std::regex kRow(R"(^\s*X\(([a-z0-9_]+),)");
+  auto continued = [](const std::string& line) {
+    const auto e = line.find_last_not_of(" \t");
+    return e != std::string::npos && line[e] == '\\';
+  };
+  std::vector<ReportDecl> out;
+  for (const auto& f : src) {
+    std::map<int, std::string> literals;  // line -> its string literals
+    for (const auto& lit : f.strings) literals[lit.line] += lit.text;
+    for (std::size_t i = 0; i < f.code.size(); ++i) {
+      std::smatch m;
+      if (!std::regex_search(f.code[i], m, kDefine)) continue;
+      ReportDecl& decl = out.emplace_back();
+      decl.file = f.path;
+      decl.macro = m[1].str();
+      for (const char c : m[2].str()) {
+        if (c != '_') decl.marker += static_cast<char>(std::tolower(c));
+      }
+      decl.marker += "-table";
+      for (std::size_t j = i + 1;
+           j < f.code.size() && continued(f.code[j - 1]); ++j) {
+        const int line = static_cast<int>(j + 1);
+        if (std::regex_search(f.code[j], m, kRow)) {
+          decl.fields.push_back({m[1].str(), {line, ""}});
+        }
+        if (!decl.fields.empty()) {
+          decl.fields.back().second.meaning += literals[line];
+        }
+      }
     }
   }
   return out;
@@ -808,9 +861,9 @@ void rule_doc_drift(const Project& p, std::vector<Finding>& findings) {
                                 " is read here but has no row in README.md's "
                                 "env-var table"});
       }
-      for (const auto& [var, doc_line] : table.entries) {
+      for (const auto& [var, row] : table.entries) {
         if (env_uses.count(var) != 0) continue;
-        findings.push_back({"README.md", doc_line, "doc-drift",
+        findings.push_back({"README.md", row.line, "doc-drift",
                             "env var " + var +
                                 " is documented but never read via getenv() "
                                 "in src/, bench/, or examples/"});
@@ -818,42 +871,42 @@ void rule_doc_drift(const Project& p, std::vector<Finding>& findings) {
     }
   }
 
-  // --- StepReport JSONL fields -------------------------------------------
-  const ScannedFile* metrics = find_file(p.src, "src/obs/metrics.cpp");
-  if (metrics != nullptr && p.has_design) {
-    static const std::regex kField(R"(^[a-z][a-z0-9_]*$)");
-    std::map<std::string, int> emitted;  // field -> line
-    for (const auto& s : metrics->strings) {
-      const std::size_t idx = static_cast<std::size_t>(s.line - 1);
-      if (idx >= metrics->code.size()) continue;
-      if (metrics->code[idx].find("append_kv") == std::string::npos) continue;
-      if (!std::regex_match(s.text, kField)) continue;
-      emitted.emplace(s.text, s.line);
+  // --- Report field tables ------------------------------------------------
+  // Every declared field has a row in its DESIGN.md table whose meaning is
+  // the declared doc, and every row names a declared field.
+  if (!p.has_design) return;
+  static const std::regex kFieldRow(
+      R"(^\|\s*`?([a-z][a-z0-9_]*)`?\s*\|\s*(.*?)\s*\|\s*$)");
+  for (const ReportDecl& decl : find_report_decls(p.src)) {
+    const DocTable table = parse_marker_table(p.design, decl.marker, kFieldRow);
+    if (!table.found) {
+      findings.push_back({"DESIGN.md", 1, "doc-drift",
+                          "missing `<!-- zilint:" + decl.marker +
+                              ":begin/end -->` markers for the fields of " +
+                              decl.macro + " (" + decl.file + ")"});
+      continue;
     }
-    static const std::regex kFieldRow(R"(^\|\s*`?([a-z][a-z0-9_]*)`?\s*\|)");
-    const DocTable table =
-        parse_marker_table(p.design, "stepreport-table", kFieldRow);
-    if (!table.found && !emitted.empty()) {
-      findings.push_back(
-          {"DESIGN.md", 1, "doc-drift",
-           "missing `<!-- zilint:stepreport-table:begin/end -->` markers — "
-           "the StepReport field table is the documented contract for " +
-               std::to_string(emitted.size()) + " JSONL fields"});
-    } else if (table.found) {
-      for (const auto& [field, line] : emitted) {
-        if (table.entries.count(field) != 0) continue;
-        findings.push_back({metrics->path, line, "doc-drift",
-                            "StepReport field '" + field +
-                                "' is emitted here but has no row in "
-                                "DESIGN.md's StepReport table"});
+    std::set<std::string> declared;
+    for (const auto& [field, decl_row] : decl.fields) {
+      declared.insert(field);
+      const auto it = table.entries.find(field);
+      if (it == table.entries.end()) {
+        findings.push_back({decl.file, decl_row.line, "doc-drift",
+                            "field '" + field + "' of " + decl.macro +
+                                " has no row in DESIGN.md's " + decl.marker});
+      } else if (it->second.meaning != decl_row.meaning) {
+        findings.push_back({"DESIGN.md", it->second.line, "doc-drift",
+                            "meaning of field '" + field + "' differs from " +
+                                decl.macro + " (" + decl.file + ":" +
+                                std::to_string(decl_row.line) + "): \"" +
+                                decl_row.meaning + "\""});
       }
-      for (const auto& [field, doc_line] : table.entries) {
-        if (emitted.count(field) != 0) continue;
-        findings.push_back({"DESIGN.md", doc_line, "doc-drift",
-                            "StepReport field '" + field +
-                                "' is documented but never emitted by "
-                                "src/obs/metrics.cpp"});
-      }
+    }
+    for (const auto& [field, row] : table.entries) {
+      if (declared.count(field) != 0) continue;
+      findings.push_back({"DESIGN.md", row.line, "doc-drift",
+                          "field '" + field + "' in " + decl.marker +
+                              " is not declared in " + decl.macro});
     }
   }
 }

@@ -3,7 +3,7 @@
 // Clang's -Wthread-safety silently skips unannotated mutexes, and clang-tidy
 // knows nothing of this codebase's own vocabulary: zi::Mutex shims, DataMover
 // transfer handles, the fault injector's site registry, the ZI_* environment
-// surface, StepReport's JSONL contract. zilint closes that gap with a small
+// surface, the reports' JSONL contracts. zilint closes that gap with a small
 // comment/string-aware tokenizer plus a rule engine — no libclang, compiled
 // in-tree, run as a ctest suite and a CI lint step.
 //
@@ -28,9 +28,10 @@
 //                      and discard the returned handle/lease/status.
 //   doc-drift          every getenv("ZI_*") in src/bench/examples must have a
 //                      row in README.md's marker-delimited env-var table (and
-//                      vice versa); every StepReport field emitted by
-//                      obs/metrics.cpp must have a row in DESIGN.md's
-//                      marker-delimited field table (and vice versa).
+//                      vice versa); every field of a report declared as a
+//                      `ZI_<NAME>_FIELDS(X)` list (obs/report.hpp) must have
+//                      a row in DESIGN.md's `<name>-table` marker table whose
+//                      meaning equals the declared doc (and vice versa).
 //
 // Suppression: `// zilint:allow(rule)` or `// zilint:allow(rule1,rule2)`,
 // optionally followed by `: reason`. It applies to findings on its own line,
