@@ -179,7 +179,8 @@ int main() {
   auto batches_str = [](const Outcome& o) {
     std::string s;
     for (std::size_t r = 0; r < o.rank_batches.size(); ++r) {
-      s += (r ? "/" : "") + std::to_string(o.rank_batches[r]);
+      if (r) s += '/';
+      s += std::to_string(o.rank_batches[r]);
     }
     return s;
   };

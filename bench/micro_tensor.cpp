@@ -4,9 +4,9 @@
 
 #include <vector>
 
+#include "common/half.hpp"
 #include "common/rng.hpp"
 #include "optim/adam.hpp"
-#include "tensor/cast.hpp"
 #include "tensor/ops.hpp"
 
 namespace {

@@ -38,6 +38,7 @@
 // these semantics byte-for-byte.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -45,6 +46,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -534,14 +536,6 @@ class Communicator {
   /// for an unbounded stall, until the world is poisoned by a detector.
   void injected_stall(const char* op, std::uint64_t cap_us);
 
-  // Accumulation helpers: fp32 accumulate regardless of storage type.
-  static float load_as_float(const float* p) { return *p; }
-  static float load_as_float(const half* p) { return p->to_float(); }
-  static float load_as_float(const double* p) { return static_cast<float>(*p); }
-  static void store_from_float(float* p, float v) { *p = v; }
-  static void store_from_float(half* p, float v) { *p = half(v); }
-  static void store_from_float(double* p, float v) { *p = v; }
-
   int rank_;
   int global_rank_;
   std::shared_ptr<detail::Transport> transport_;
@@ -551,6 +545,54 @@ class Communicator {
 
 // ---------------------------------------------------------------------------
 // Template implementations
+
+namespace detail {
+
+// The sum collectives accumulate in fp32 whatever the storage type (float or
+// half); these move whole blocks between storage and fp32, so fp16 goes
+// through the span converters.
+template <typename T>
+void to_f32(std::span<const T> src, std::span<float> dst) {
+  if constexpr (std::is_same_v<T, half>) {
+    cast_f16_to_f32(src, dst);
+  } else {
+    static_assert(std::is_same_v<T, float>, "sum collectives: float or half");
+    std::copy(src.begin(), src.end(), dst.begin());
+  }
+}
+
+template <typename T>
+void from_f32(std::span<const float> src, std::span<T> dst) {
+  if constexpr (std::is_same_v<T, half>) {
+    cast_f32_to_f16(src, dst);
+  } else {
+    static_assert(std::is_same_v<T, float>, "sum collectives: float or half");
+    std::copy(src.begin(), src.end(), dst.begin());
+  }
+}
+
+/// out[i] = T(0.0f + float(srcs[0][offset + i]) + float(srcs[1][offset + i])
+/// + ...): fp32 sums in ascending rank order, starting at 0.0f so that a sum
+/// of -0.0s is +0.0. Works in tiles of stack scratch, so a collective does
+/// not allocate (and fault in) fp32 buffers the size of its chunk.
+template <typename T>
+void sum_f32(std::span<const T* const> srcs, std::size_t offset,
+             std::span<T> out) {
+  constexpr std::size_t kTile = 512;
+  float acc[kTile];
+  float block[kTile];
+  for (std::size_t lo = 0; lo < out.size(); lo += kTile) {
+    const std::size_t len = std::min(kTile, out.size() - lo);
+    std::fill_n(acc, len, 0.0f);
+    for (const T* src : srcs) {
+      to_f32<T>({src + offset + lo, len}, {block, len});
+      for (std::size_t i = 0; i < len; ++i) acc[i] += block[i];
+    }
+    from_f32<T>({acc, len}, out.subspan(lo, len));
+  }
+}
+
+}  // namespace detail
 
 template <typename T>
 void Communicator::send(std::span<const T> data, int to, int tag) {
@@ -632,15 +674,8 @@ void Communicator::reduce_scatter_sum(std::span<const T> send,
   for (std::size_t r = 0; r < n; ++r) {
     srcs[r] = static_cast<const T*>(t.peer_data(static_cast<int>(r)));
   }
-  const std::size_t chunk = recv.size();
-  const std::size_t base = static_cast<std::size_t>(rank_) * chunk;
-  for (std::size_t i = 0; i < chunk; ++i) {
-    float acc = 0.0f;
-    for (std::size_t r = 0; r < n; ++r) {
-      acc += load_as_float(srcs[r] + base + i);
-    }
-    store_from_float(recv.data() + i, acc);
-  }
+  detail::sum_f32<T>(srcs, static_cast<std::size_t>(rank_) * recv.size(),
+                     recv);
   sync_point("reduce_scatter");
 }
 
@@ -666,21 +701,13 @@ void Communicator::allreduce_sum(std::span<T> data) {
   }
   const std::size_t lo = total * static_cast<std::size_t>(rank_) / n;
   const std::size_t hi = total * (static_cast<std::size_t>(rank_) + 1) / n;
-  std::vector<float> scratch(hi - lo);
-  for (std::size_t i = lo; i < hi; ++i) {
-    float acc = 0.0f;
-    for (std::size_t r = 0; r < n; ++r) {
-      acc += load_as_float(srcs[r] + i);
-    }
-    scratch[i - lo] = acc;
-  }
+  std::vector<T> reduced(hi - lo);
+  detail::sum_f32<T>(srcs, lo, reduced);
   sync_point("allreduce");  // all slices reduced before anyone overwrites
   // Every rank writes its slice into every rank's buffer.
   for (std::size_t r = 0; r < n; ++r) {
     T* dst = static_cast<T*>(t.peer_data_mut(static_cast<int>(r)));
-    for (std::size_t i = lo; i < hi; ++i) {
-      store_from_float(dst + i, scratch[i - lo]);
-    }
+    std::copy(reduced.begin(), reduced.end(), dst + lo);
   }
   sync_point("allreduce");
   // Pull this rank's reduced buffer back out of the transport (no-op when

@@ -4,9 +4,9 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "common/half.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "tensor/cast.hpp"
 
 namespace zi {
 

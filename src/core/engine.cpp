@@ -5,12 +5,12 @@
 #include <filesystem>
 
 #include "common/error.hpp"
+#include "common/half.hpp"
 #include "core/ckpt_io.hpp"
 #include "core/elastic.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "optim/adam.hpp"
-#include "tensor/cast.hpp"
 
 namespace zi {
 

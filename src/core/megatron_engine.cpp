@@ -1,6 +1,6 @@
 #include "core/megatron_engine.hpp"
 
-#include "tensor/cast.hpp"
+#include "common/half.hpp"
 #include "tensor/ops.hpp"
 
 namespace zi {

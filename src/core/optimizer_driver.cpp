@@ -3,9 +3,9 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/half.hpp"
 #include "move/pipeline.hpp"
 #include "optim/adam.hpp"
-#include "tensor/cast.hpp"
 #include "tensor/ops.hpp"
 
 namespace zi {
@@ -32,9 +32,10 @@ bool OptimizerDriver::local_overflow() const {
     const ShardSpec& spec = store_.opt_spec(p);
     shard.resize(static_cast<std::size_t>(spec.shard_elems));
     store_.load_grad_shard(p, shard);
-    for (const half h : shard) {
-      if (!h.isfinite()) return true;
-    }
+    // Bit tests, no conversion; no early exit, so the loop can vectorize.
+    bool overflow = false;
+    for (const half h : shard) overflow |= !h.isfinite();
+    if (overflow) return true;
   }
   return false;
 }
@@ -43,13 +44,16 @@ double OptimizerDriver::local_grad_sqnorm(float grad_scale) const {
   const double inv = 1.0 / static_cast<double>(grad_scale);
   double acc = 0.0;
   std::vector<half> shard;
+  std::vector<float> grad;
   for (Parameter* p : store_.params()) {
     const ShardSpec& spec = store_.opt_spec(p);
     shard.resize(static_cast<std::size_t>(spec.shard_elems));
+    grad.resize(shard.size());
     store_.load_grad_shard(p, shard);
+    cast_f16_to_f32(shard, grad);
     // Padding elements are exact zeros and contribute nothing.
-    for (const half h : shard) {
-      const double g = static_cast<double>(h.to_float()) * inv;
+    for (const float f : grad) {
+      const double g = static_cast<double>(f) * inv;
       acc += g * g;
     }
   }

@@ -1,8 +1,10 @@
 #include "core/state_store.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/error.hpp"
+#include "common/half.hpp"
 
 namespace zi {
 
@@ -55,9 +57,7 @@ ModelStateStore::ModelStateStore(RankResources& res,
       h16_scratch.resize(shard_n);
       init_shard_fp16(*p, e.opt_spec, opt_rank, h16_scratch);
       f32_scratch.resize(shard_n);
-      for (std::size_t i = 0; i < shard_n; ++i) {
-        f32_scratch[i] = h16_scratch[i].to_float();
-      }
+      cast_f16_to_f32(h16_scratch, f32_scratch);
 
       const Tier opt_tier = config_.optimizer_placement;
       const std::uint64_t f32_bytes = shard_n * sizeof(float);
@@ -201,8 +201,17 @@ void ModelStateStore::accumulate_grad_shard(const Parameter* p,
   TierBuffer& grad = const_cast<TierBuffer&>(grad_buffer(p));
   std::vector<half> current(src.size());
   grad.load(as_bytes_span(std::span<half>(current)));
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    current[i] = half(current[i].to_float() + src[i].to_float());
+  // fp32 sums in stack tiles, not fp32 copies of the whole shard.
+  constexpr std::size_t kTile = 512;
+  float sum[kTile];
+  float add[kTile];
+  for (std::size_t lo = 0; lo < src.size(); lo += kTile) {
+    const std::size_t len = std::min(kTile, src.size() - lo);
+    const std::span<half> cur = std::span<half>(current).subspan(lo, len);
+    cast_f16_to_f32(cur, {sum, len});
+    cast_f16_to_f32(src.subspan(lo, len), {add, len});
+    for (std::size_t i = 0; i < len; ++i) sum[i] += add[i];
+    cast_f32_to_f16({sum, len}, cur);
   }
   grad.store(as_bytes_span(std::span<const half>(current)));
 }

@@ -3,9 +3,9 @@
 #include <chrono>
 
 #include "common/error.hpp"
+#include "common/half.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "tensor/cast.hpp"
 
 namespace zi {
 

@@ -1,7 +1,7 @@
 #include "model/local_store.hpp"
 
 #include "common/error.hpp"
-#include "tensor/cast.hpp"
+#include "common/half.hpp"
 
 namespace zi {
 

@@ -1,18 +1,8 @@
 #include "tensor/cast.hpp"
 
-#include "common/error.hpp"
+#include "common/half.hpp"
 
 namespace zi {
-
-void cast_f16_to_f32(std::span<const half> src, std::span<float> dst) {
-  ZI_CHECK(src.size() == dst.size());
-  for (std::size_t i = 0; i < src.size(); ++i) dst[i] = src[i].to_float();
-}
-
-void cast_f32_to_f16(std::span<const float> src, std::span<half> dst) {
-  ZI_CHECK(src.size() == dst.size());
-  for (std::size_t i = 0; i < src.size(); ++i) dst[i] = half(src[i]);
-}
 
 Tensor cast(const Tensor& src, DType dtype) {
   Tensor out(src.shape(), dtype);

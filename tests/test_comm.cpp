@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <random>
 #include <vector>
 
 #include "comm/world.hpp"
@@ -118,6 +119,69 @@ TEST(Comm, ReduceScatterHalfAccumulatesInFp32) {
     std::vector<half> recv(1);
     comm.reduce_scatter_sum<half>(send, recv);
     EXPECT_EQ(recv[0].to_float(), 2052.0f);
+  });
+}
+
+// The fp16 sums equal a scalar fold bit for bit: each element starts at
+// 0.0f, adds rank 0, rank 1, ... in fp32, and rounds once with the software
+// reference. A 37-element chunk runs the converters' 8-wide bodies and a
+// tail; a 1029-element one also spans the collectives' 512-element scratch
+// tiles. The inputs mix -0.0, subnormals and values near 65504, whose sums
+// overflow to inf.
+TEST(Comm, HalfSumsMatchScalarFoldBitForBit) {
+  constexpr int kRanks = 4;
+  for (const std::size_t chunk : {std::size_t{37}, std::size_t{1029}}) {
+    const std::size_t total = chunk * kRanks;
+    std::vector<std::vector<half>> sends(kRanks, std::vector<half>(total));
+    std::mt19937 rng(static_cast<std::uint32_t>(chunk));
+    for (auto& send : sends) {
+      for (half& h : send) {
+        const std::uint32_t u = rng();
+        const auto sign = static_cast<std::uint16_t>((u >> 31) << 15);
+        std::uint16_t mag = 0;  // case 0: ±0.0
+        switch (u % 4) {
+          case 1: mag = static_cast<std::uint16_t>((u >> 8) & 0x3FF); break;
+          case 2: mag = static_cast<std::uint16_t>(0x7BFF - (u >> 8) % 64); break;
+          case 3: mag = static_cast<std::uint16_t>((u >> 8) % 0x7C00); break;
+          default: break;
+        }
+        h = half::from_bits(static_cast<std::uint16_t>(sign | mag));
+      }
+    }
+    std::vector<std::uint16_t> expected(total);
+    for (std::size_t i = 0; i < total; ++i) {
+      float acc = 0.0f;
+      for (const auto& send : sends) {
+        acc += half_bits_to_float_ref(send[i].bits());
+      }
+      expected[i] = float_to_half_bits_ref(acc);
+    }
+    run_ranks(kRanks, [&](Communicator& comm) {
+      const auto r = static_cast<std::size_t>(comm.rank());
+      std::vector<half> recv(chunk);
+      comm.reduce_scatter_sum<half>(sends[r], recv);
+      for (std::size_t i = 0; i < chunk; ++i) {
+        EXPECT_EQ(recv[i].bits(), expected[r * chunk + i])
+            << chunk << ":" << i;
+      }
+      std::vector<half> data = sends[r];
+      comm.allreduce_sum<half>(data);
+      for (std::size_t i = 0; i < total; ++i) {
+        EXPECT_EQ(data[i].bits(), expected[i]) << chunk << ":" << i;
+      }
+    });
+  }
+}
+
+TEST(Comm, HalfSumOfNegativeZerosIsPositiveZero) {
+  run_ranks(4, [](Communicator& comm) {
+    const std::vector<half> send(4 * 37, half(-0.0f));
+    std::vector<half> recv(37);
+    comm.reduce_scatter_sum<half>(send, recv);
+    for (const half h : recv) EXPECT_EQ(h.bits(), 0x0000);
+    std::vector<half> data = send;
+    comm.allreduce_sum<half>(data);
+    for (const half h : data) EXPECT_EQ(h.bits(), 0x0000);
   });
 }
 

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/coordinator.hpp"
@@ -243,7 +244,9 @@ TEST_F(ObsTest, RingWrapOverwritesOldestAndCountsDrops) {
   std::thread t([&] {
     Tracer::set_thread_name("wrap");
     for (int i = 0; i < 100; ++i) {
-      tracer.record_instant("test", "e" + std::to_string(i));
+      std::string name = "e";
+      name += std::to_string(i);
+      tracer.record_instant("test", std::move(name));
     }
   });
   t.join();

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/half.hpp"
 #include "tensor/cast.hpp"
 #include "tensor/tensor.hpp"
 
